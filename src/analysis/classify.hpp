@@ -49,6 +49,8 @@ struct ClassifyResult {
   std::vector<CriticalVar> all_mli;
 };
 
+/// The classifier the Session runs (sequential; the variants below are kept
+/// for the benchmarks that measure them and do not pay off at this scale).
 ClassifyResult classify(const DepResult& dep, const PreprocessResult& pre);
 
 /// Parallel sharded classification: the per-variable event streams are
@@ -66,11 +68,11 @@ ClassifyResult classify(const DepResult& dep, const PreprocessResult& pre);
 /// (one hot array) no longer serializes both the extraction and the scan.
 ClassifyResult classify_sharded(const DepResult& dep, const PreprocessResult& pre, int threads);
 
-/// Pipelined producer/consumer variant of classify_sharded — what the Session
-/// runs. Instead of every worker sweeping the whole event array (N full
-/// sweeps, then a barrier before scanning), extraction workers sweep disjoint
-/// event chunks once, routing each chunk's events to per-shard mailboxes, and
-/// the per-shard scanners consume slices in chunk order as they arrive —
+/// Pipelined producer/consumer variant of classify_sharded. Instead of every
+/// worker sweeping the whole event array (N full sweeps, then a barrier
+/// before scanning), extraction workers sweep disjoint event chunks once,
+/// routing each chunk's events to per-shard mailboxes, and the per-shard
+/// scanners consume slices in chunk order as they arrive —
 /// pass-1 accumulation overlaps extraction; no barrier between the stages.
 /// Verdicts are bit-identical to classify() and classify_sharded() by
 /// construction (same per-variable two-pass scan over the same in-order

@@ -1,5 +1,6 @@
 #include "ckpt/engine.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
@@ -483,6 +484,39 @@ void CheckpointEngine::register_report_json(const std::string& json) {
   for (const auto& name : names_from_json(json)) protect(name);
 }
 
+namespace {
+
+/// Decode the JSON escape whose backslash sits at json[i] onto `out`; returns
+/// the index of its last character. Covers everything json_escape() emits.
+std::size_t decode_escape(const std::string& json, std::size_t i, std::string& out) {
+  if (i + 1 >= json.size()) throw CheckpointError("truncated escape in report JSON");
+  const char esc = json[++i];
+  switch (esc) {
+    case '"': case '\\': case '/': out += esc; return i;
+    case 'n': out += '\n'; return i;
+    case 't': out += '\t'; return i;
+    case 'r': out += '\r'; return i;
+    case 'b': out += '\b'; return i;
+    case 'f': out += '\f'; return i;
+    case 'u': break;
+    default: throw CheckpointError(std::string("bad escape \\") + esc + " in report JSON");
+  }
+  if (i + 4 >= json.size()) throw CheckpointError("truncated \\u escape in report JSON");
+  unsigned cp = 0;
+  const char* hex = json.data() + i + 1;
+  const auto [end, ec] = std::from_chars(hex, hex + 4, cp, 16);
+  if (ec != std::errc() || end != hex + 4) {
+    throw CheckpointError("non-hex \\u escape in report JSON");
+  }
+  // json_escape() only \u-escapes control characters; symbol names are
+  // bytes, so a code point beyond ASCII has no single-byte meaning here.
+  if (cp >= 0x80) throw CheckpointError("non-ASCII \\u escape in report JSON");
+  out += static_cast<char>(cp);
+  return i + 4;
+}
+
+}  // namespace
+
 std::vector<std::string> CheckpointEngine::names_from_json(const std::string& json) {
   // Minimal scanner for Report::to_json(): locate the "critical" array and
   // pull each entry's "name" string, honouring escapes and string bounds.
@@ -502,9 +536,8 @@ std::vector<std::string> CheckpointEngine::names_from_json(const std::string& js
   for (; i < json.size(); ++i) {
     const char c = json[i];
     if (in_string) {
-      if (c == '\\' && i + 1 < json.size()) {
-        const char esc = json[++i];
-        current += (esc == 'n' ? '\n' : esc == 't' ? '\t' : esc);
+      if (c == '\\') {
+        i = decode_escape(json, i, current);
         continue;
       }
       if (c == '"') {

@@ -4,10 +4,6 @@
 #include <thread>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "support/error.hpp"
 #include "support/executor.hpp"
 #include "support/strings.hpp"
@@ -348,69 +344,6 @@ std::string read_file_bytes(const std::string& path) {
 std::vector<TraceRecord> read_trace_file(const std::string& path) {
   const std::string data = read_file_bytes(path);
   return read_trace_text(data);
-}
-
-std::vector<TraceRecord> read_trace_text_parallel(std::string_view text, int num_threads) {
-#ifndef _OPENMP
-  (void)num_threads;
-  return read_trace_text(text);
-#else
-  const std::vector<std::string_view> lines = split_lines(text);
-  if (lines.size() < 4096) return parse_lines(lines);
-
-  int threads = num_threads > 0 ? num_threads : omp_get_max_threads();
-  if (threads < 1) threads = 1;
-  if (threads > 256) threads = 256;  // a runaway request must not exhaust thread stacks
-  const std::size_t want_chunks = static_cast<std::size_t>(threads) * 4;
-
-  // Partition at block-header boundaries so no instruction block is split
-  // across sub-streams (paper §V-A).
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;  // [begin,end) line ranges
-  const std::size_t target = lines.size() / want_chunks + 1;
-  std::size_t begin = 0;
-  while (begin < lines.size()) {
-    std::size_t end = begin + target;
-    if (end >= lines.size()) {
-      end = lines.size();
-    } else {
-      while (end < lines.size() && !is_block_header(lines[end])) ++end;
-    }
-    chunks.emplace_back(begin, end);
-    begin = end;
-  }
-
-  // OpenMP cannot propagate exceptions out of a parallel region, so trap them
-  // into a FailState: lowest-chunk-wins keeps the error identical to the
-  // serial parse, and the cancellation flag skips remaining iterations.
-  std::vector<std::vector<TraceRecord>> partial(chunks.size());
-  FailState fail;
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    if (fail.cancelled()) continue;
-    try {
-      std::vector<std::string_view> sub(lines.begin() + static_cast<std::ptrdiff_t>(chunks[c].first),
-                                        lines.begin() + static_cast<std::ptrdiff_t>(chunks[c].second));
-      partial[c] = parse_lines(sub);
-    } catch (...) {
-      fail.capture(c);
-    }
-  }
-  fail.rethrow_if_failed();
-
-  std::size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  std::vector<TraceRecord> records;
-  records.reserve(total);
-  for (auto& p : partial) {
-    for (auto& r : p) records.push_back(std::move(r));
-  }
-  return records;
-#endif
-}
-
-std::vector<TraceRecord> read_trace_file_parallel(const std::string& path, int num_threads) {
-  const std::string data = read_file_bytes(path);
-  return read_trace_text_parallel(data, num_threads);
 }
 
 }  // namespace ac::trace

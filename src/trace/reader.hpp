@@ -13,9 +13,9 @@
 // Binary MCTB traces are parsed by trace/mctb.hpp; FileSource sniffs the
 // magic and dispatches.
 //
-// The legacy std::vector<TraceRecord> readers below them are kept as the
-// reference implementation: the round-trip property tests pin the TraceBuffer
-// parse to be record-for-record identical to them.
+// The std::vector<TraceRecord> reader read_trace_text is kept as the
+// reference implementation: the round-trip property tests pin both
+// TraceBuffer parses to be record-for-record identical to it.
 #pragma once
 
 #include <functional>
@@ -53,13 +53,6 @@ std::vector<TraceRecord> read_trace_text(std::string_view text);
 
 /// Load `path` and parse sequentially.
 std::vector<TraceRecord> read_trace_file(const std::string& path);
-
-/// Load `path` and parse with OpenMP workers (falls back to serial when built
-/// without OpenMP or when the file is small). `num_threads` 0 = runtime default.
-std::vector<TraceRecord> read_trace_file_parallel(const std::string& path, int num_threads = 0);
-
-/// Parallel parse of in-memory text (exposed for tests/benchmarks).
-std::vector<TraceRecord> read_trace_text_parallel(std::string_view text, int num_threads = 0);
 
 /// Slurp a file (shared by readers and tests).
 std::string read_file_bytes(const std::string& path);

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/autocheck.hpp"
+#include "analysis/session.hpp"
 #include "minic/compiler.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
@@ -22,7 +22,7 @@ struct PipelineRun {
 /// Compile MiniC source, execute it under the tracing VM, run AutoCheck.
 /// The MCL region comes from //@mcl-begin / //@mcl-end markers.
 inline PipelineRun run_pipeline(const std::string& source,
-                                const analysis::AutoCheckOptions& opts = {}) {
+                                const analysis::AnalysisOptions& opts = {}) {
   PipelineRun out;
   out.module = minic::compile(source);
   const analysis::MclRegion region = analysis::find_mcl_region(source);
@@ -31,7 +31,7 @@ inline PipelineRun run_pipeline(const std::string& source,
   ropts.sink = &sink;
   out.run = vm::run_module(out.module, ropts);
   out.records = std::move(sink.records());
-  out.report = analysis::analyze_records(out.records, region, opts);
+  out.report = analysis::Session().records(out.records).region(region).options(opts).run();
   return out;
 }
 

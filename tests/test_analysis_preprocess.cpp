@@ -177,7 +177,7 @@ int main() {
 
   // ...while the paper's literal name-matching with call bypass misses them,
   // which is exactly the limitation §V-B works around manually.
-  AutoCheckOptions paper_mode;
+  AnalysisOptions paper_mode;
   paper_mode.mli_mode = MliMode::PaperNameMatch;
   auto paper_run = run_pipeline(src, paper_mode);
   auto paper_names = mli_names(paper_run.report);
@@ -185,7 +185,7 @@ int main() {
 }
 
 TEST(Mli, PaperNameMatchAgreesOnFig4) {
-  AutoCheckOptions opts;
+  AnalysisOptions opts;
   opts.mli_mode = MliMode::PaperNameMatch;
   auto run = run_pipeline(fig4_source(), opts);
   auto names = mli_names(run.report);

@@ -1,13 +1,16 @@
 // End-to-end Table II reproduction: for each of the 14 benchmarks, AutoCheck
 // must identify exactly the paper's variables with the paper's dependency
 // types — at the default input size, at the Table II size (the paper's
-// "different inputs" check, §VII), and through the file-based trace path.
+// "different inputs" check, §VII), and through the file-based trace path —
+// and the whole Table II-size report must match its checked-in golden JSON
+// (tests/golden/<app>.json) byte-for-byte at any thread budget.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "apps/harness.hpp"
 #include "support/error.hpp"
+#include "trace/reader.hpp"
 
 #include "helpers.hpp"
 
@@ -50,6 +53,18 @@ TEST_P(AppVerdicts, FileBasedPathAgrees) {
   EXPECT_EQ(to_map(file_run.report.verdicts.critical), to_map(app.expected));
   EXPECT_GT(file_run.trace_bytes, 0u);
   EXPECT_GT(file_run.report.timings.preprocessing, 0.0);
+}
+
+TEST_P(AppVerdicts, Table2ReportMatchesGolden) {
+  const App& app = find_app(GetParam());
+  const std::string golden = trace::read_file_bytes(std::string(AC_GOLDEN_DIR) + "/" +
+                                                    app.name + ".json");
+  for (const int threads : {1, 4}) {
+    analysis::AnalysisOptions opts;
+    opts.threads = threads;
+    const AnalysisRun run = analyze_app(app, app.table2_params, opts);
+    EXPECT_EQ(run.report.to_json(/*with_timings=*/false), golden) << "threads=" << threads;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

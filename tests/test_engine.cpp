@@ -252,6 +252,36 @@ TEST(EngineRegistration, JsonRejectsGarbage) {
                CheckpointError);
 }
 
+TEST(EngineRegistration, JsonRoundTripsEveryAsciiByte) {
+  // Every escape JsonWriter emits (\" \\ \n \t \r \b \f \u00XX) must decode
+  // back to the original byte.
+  analysis::Report report;
+  std::string all;
+  for (int b = 0x01; b <= 0x7f; ++b) {
+    report.verdicts.critical.push_back({.name = std::string("n") + static_cast<char>(b)});
+    all += static_cast<char>(b);
+  }
+  report.verdicts.critical.push_back({.name = all});
+  report.verdicts.critical.push_back({.name = "a\x01" "b\rc\bd\fe/\"\\"});
+
+  ckpt::EngineConfig cfg;
+  cfg.dir = testing::TempDir();
+  cfg.tag = "reg_escapes";
+  ckpt::CheckpointEngine engine(cfg);
+  engine.register_report_json(report.to_json());
+  EXPECT_EQ(engine.protected_names(), report.critical_names());
+}
+
+TEST(EngineRegistration, JsonRejectsBadEscapes) {
+  for (const char* bad : {R"({"critical": [{"name": "a\u00"}]})",
+                          R"({"critical": [{"name": "a\u00g1"}]})",
+                          R"({"critical": [{"name": "a\u00e9"}]})",
+                          R"({"critical": [{"name": "a\q"}]})",
+                          R"({"critical": [{"name": "a\u)", R"({"critical": [{"name": "a\)"}) {
+    EXPECT_THROW(ckpt::CheckpointEngine::names_from_json(bad), CheckpointError) << bad;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Arena dirty-cell tracking
 // ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ TEST(LoopFinder, SuggestionFeedsAnalysisDirectly) {
   region.function = candidates[0].function;
   region.begin_line = candidates[0].header_line;
   region.end_line = candidates[0].end_line;
-  const Report report = analyze_records(run.records, region);
+  const Report report = Session().records(run.records).region(region).run();
   EXPECT_EQ(test::critical_map(report), test::critical_map(run.report));
 }
 

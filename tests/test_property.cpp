@@ -140,8 +140,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
 
 // -- Streaming equivalence on random programs (appended with streaming mode) --
 
-#include "analysis/streaming.hpp"
-
 namespace ac {
 namespace {
 
@@ -150,7 +148,7 @@ TEST_P(RandomPrograms, StreamingMatchesBatch) {
   auto batch = test::run_pipeline(src);
   const auto region = analysis::find_mcl_region(src);
 
-  analysis::StreamingAutoCheck streaming(region);
+  analysis::SessionStream streaming(region);
   for (const auto& r : batch.records) streaming.pass1_add(r);
   streaming.finish_pass1();
   for (const auto& r : batch.records) streaming.pass2_add(r);

@@ -1,8 +1,9 @@
-// The unified Session pipeline API: builder contract, AnalysisOptions thread
-// semantics, TraceSource equivalence (memory / file / live), the parallel
-// sharded classification (bit-identical verdicts at analysis_threads 1 vs 4
-// across all 14 mini-apps), and ReportSink round-trips (JSON -> engine
-// registration matches direct in-memory registration).
+// The Session pipeline API: builder contract, AnalysisOptions::threads as the
+// read-stage budget, the sharded/pipelined classifier variants (bit-identical
+// to classify()), TraceSource equivalence (memory / file / live, identical
+// verdicts across all 14 mini-apps), and ReportSink
+// round-trips (JSON -> engine registration matches direct in-memory
+// registration).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -46,7 +47,7 @@ TEST(SessionBuilder, RequiresSourceAndValidRegion) {
   EXPECT_THROW(Session().records(run.records).region(inverted).run(), Error);
 }
 
-TEST(SessionBuilder, MatchesLegacyFacade) {
+TEST(SessionBuilder, MarkersMatchExplicitRegion) {
   auto run = test::run_pipeline(test::fig4_source());
   const Report direct = Session()
                             .records(run.records)
@@ -59,56 +60,36 @@ TEST(SessionBuilder, MatchesLegacyFacade) {
 
 // --- options semantics ------------------------------------------------------
 
-TEST(SessionOptions, ThreadsKnobDrivesBothStages) {
-  AnalysisOptions opts;
-  EXPECT_EQ(opts.effective_read_threads(), 1);
-  EXPECT_EQ(opts.effective_analysis_threads(), 1);
+/// A memory source that records the read budget the Session hands it.
+class ReadThreadsProbe final : public trace::TraceSource {
+ public:
+  explicit ReadThreadsProbe(std::vector<trace::TraceRecord> recs) : inner_(std::move(recs)) {}
+  std::string describe() const override { return "probe"; }
+  void set_read_threads(int n) override { read_threads = n; }
+  const trace::TraceBuffer& buffer() override { return inner_.buffer(); }
+  std::uint64_t record_count() const override { return inner_.record_count(); }
 
-  opts.threads = 4;  // one knob, both stages
-  EXPECT_EQ(opts.effective_read_threads(), 4);
-  EXPECT_EQ(opts.effective_analysis_threads(), 4);
+  int read_threads = 0;
 
-  opts.read_threads = 2;  // per-stage override wins
-  opts.analysis_threads = 8;
-  EXPECT_EQ(opts.effective_read_threads(), 2);
-  EXPECT_EQ(opts.effective_analysis_threads(), 8);
-}
+ private:
+  trace::MemorySource inner_;
+};
 
-TEST(SessionOptions, LegacyReadThreadsHonoredWithoutParallelRead) {
-  // The old facade honored read_threads only when parallel_read was set.
-  AutoCheckOptions legacy;
-  legacy.read_threads = 3;
-  const AnalysisOptions converted = legacy;
-  EXPECT_EQ(converted.effective_read_threads(), 3);
-
-  AutoCheckOptions parallel_default;
-  parallel_default.parallel_read = true;
-  const AnalysisOptions converted_default = parallel_default;
-  EXPECT_GE(converted_default.effective_read_threads(), 1);
-  EXPECT_EQ(converted_default.effective_read_threads(), default_thread_count());
-
-  AutoCheckOptions plain;
-  plain.mli_mode = MliMode::PaperNameMatch;
-  plain.build_ddg = false;
-  const AnalysisOptions kept = plain;
-  EXPECT_EQ(kept.mli_mode, MliMode::PaperNameMatch);
-  EXPECT_FALSE(kept.build_ddg);
-  EXPECT_EQ(kept.effective_read_threads(), 1);
+TEST(SessionOptions, ThreadsIsTheReadBudget) {
+  auto run = test::run_pipeline(test::fig4_source());
+  for (const int threads : {1, 4}) {
+    auto probe = std::make_shared<ReadThreadsProbe>(run.records);
+    const Report report = Session()
+                              .source(probe)
+                              .region_from_markers(test::fig4_source())
+                              .options(with_threads(threads))
+                              .run();
+    EXPECT_EQ(probe->read_threads, threads);
+    EXPECT_EQ(report.verdicts.critical, run.report.verdicts.critical) << threads;
+  }
 }
 
 // --- sharded classification -------------------------------------------------
-
-TEST(SessionParallel, ShardedClassifyBitIdenticalOnFig4) {
-  auto run = test::run_pipeline(test::fig4_source());
-  const MclRegion region = find_mcl_region(test::fig4_source());
-  const Report serial = Session().records(run.records).region(region).run();
-  for (int threads : {2, 3, 4, 7}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
-  }
-}
 
 TEST(SessionParallel, ClassifyShardedDirectApi) {
   auto run = test::run_pipeline(test::fig4_source());
@@ -119,8 +100,7 @@ TEST(SessionParallel, ClassifyShardedDirectApi) {
 }
 
 TEST(SessionParallel, ClassifyPipelinedBitIdenticalAcrossCorners) {
-  // The pipelined producer/consumer path (what Session actually runs) must be
-  // bit-identical to sequential and to the barrier path across the same
+  // The pipelined producer/consumer path must be bit-identical to sequential and to the barrier path across the same
   // corner matrix: small counts, clamp-triggering absurd counts, and the
   // degenerate empty input.
   auto run = test::run_pipeline(test::fig4_source());
@@ -184,12 +164,9 @@ int main() {
 }
 )";
   auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial_report = Session().records(run.records).region(region).run();
-  const Report sharded_report =
-      Session().records(run.records).region(region).options(with_threads(16)).run();
-  EXPECT_EQ(serial_report.verdicts.critical, sharded_report.verdicts.critical);
-  EXPECT_EQ(serial_report.verdicts.all_mli, sharded_report.verdicts.all_mli);
+  const ClassifyResult source_sharded = classify_sharded(run.report.dep, run.report.pre, 16);
+  EXPECT_EQ(run.report.verdicts.critical, source_sharded.critical);
+  EXPECT_EQ(run.report.verdicts.all_mli, source_sharded.all_mli);
 }
 
 TEST(SessionParallel, SkewedSingleHotArrayMatchesSequential) {
@@ -217,18 +194,19 @@ int main() {
 }
 )";
   auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial = Session().records(run.records).region(region).run();
+  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
   for (const int threads : {2, 4, 7}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
+    for (const ClassifyResult& parallel :
+         {classify_sharded(run.report.dep, run.report.pre, threads),
+          classify_pipelined(run.report.dep, run.report.pre, threads)}) {
+      EXPECT_EQ(serial.critical, parallel.critical) << threads;
+      EXPECT_EQ(serial.all_mli, parallel.all_mli) << threads;
+    }
   }
   // The hot array itself must be in the verdict set (stale consumption of
   // hot[i-1] across iterations), or the test is not exercising the skew.
   bool hot_found = false;
-  for (const auto& cv : serial.verdicts.critical) hot_found |= cv.name == "hot";
+  for (const auto& cv : serial.critical) hot_found |= cv.name == "hot";
   EXPECT_TRUE(hot_found);
 }
 
@@ -302,16 +280,14 @@ int main() {
 }
 )";
   auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial = Session().records(run.records).region(region).run();
+  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
   for (const int threads : {2, 3, 5, 64}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
+    const ClassifyResult sharded = classify_sharded(run.report.dep, run.report.pre, threads);
+    EXPECT_EQ(serial.critical, sharded.critical) << threads;
+    EXPECT_EQ(serial.all_mli, sharded.all_mli) << threads;
   }
   bool hot_found = false;
-  for (const auto& cv : serial.verdicts.critical) hot_found |= cv.name == "hot";
+  for (const auto& cv : serial.critical) hot_found |= cv.name == "hot";
   EXPECT_TRUE(hot_found);
 }
 
@@ -428,20 +404,15 @@ TEST(SessionSinks, JsonRoundTripMatchesDirectEngineRegistration) {
   EXPECT_EQ(direct.protected_names(), from_json.protected_names());
 }
 
-// --- batch vs streaming vs parallel across the suite ------------------------
+// --- batch vs streaming across the suite -------------------------------------
 
 class SessionApps : public testing::TestWithParam<std::string> {};
 
-TEST_P(SessionApps, BatchStreamingParallelEquivalence) {
+TEST_P(SessionApps, BatchStreamingEquivalence) {
   const apps::App& app = apps::find_app(GetParam());
 
-  const apps::AnalysisRun serial = apps::analyze_app(app, {}, with_threads(1));
-  const apps::AnalysisRun sharded = apps::analyze_app(app, {}, with_threads(4));
-  const apps::StreamingRun live = apps::analyze_app_streaming(app, {}, with_threads(4));
-
-  // Parallel classification is bit-identical to the sequential path.
-  EXPECT_EQ(serial.report.verdicts.critical, sharded.report.verdicts.critical);
-  EXPECT_EQ(serial.report.verdicts.all_mli, sharded.report.verdicts.all_mli);
+  const apps::AnalysisRun serial = apps::analyze_app(app);
+  const apps::StreamingRun live = apps::analyze_app_streaming(app);
 
   // The live two-pass pipeline agrees with batch on verdicts and structure.
   EXPECT_EQ(serial.report.verdicts.critical, live.report.verdicts.critical);
@@ -449,9 +420,8 @@ TEST_P(SessionApps, BatchStreamingParallelEquivalence) {
   EXPECT_EQ(serial.report.dep.iterations, live.report.dep.iterations);
   EXPECT_EQ(serial.trace_records, live.records_streamed);
 
-  // Same timing structure from every source/parallelism combination.
+  // Same timing structure from every source.
   expect_timing_structure(serial.report);
-  expect_timing_structure(sharded.report);
   expect_timing_structure(live.report);
 }
 

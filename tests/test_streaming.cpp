@@ -4,7 +4,7 @@
 // for the Fig. 4 example.
 #include <gtest/gtest.h>
 
-#include "analysis/streaming.hpp"
+#include "analysis/session.hpp"
 #include "apps/harness.hpp"
 #include "support/error.hpp"
 
@@ -14,8 +14,8 @@ namespace ac::analysis {
 namespace {
 
 Report stream_records(const std::vector<trace::TraceRecord>& records, const MclRegion& region,
-                      const AutoCheckOptions& opts = {}) {
-  StreamingAutoCheck streaming(region, opts);
+                      const AnalysisOptions& opts = {}) {
+  SessionStream streaming(region, opts);
   for (const auto& r : records) streaming.pass1_add(r);
   streaming.finish_pass1();
   for (const auto& r : records) streaming.pass2_add(r);
@@ -40,7 +40,7 @@ TEST(Streaming, Fig4MatchesBatch) {
 }
 
 TEST(Streaming, PaperMliModeMatchesBatch) {
-  AutoCheckOptions opts;
+  AnalysisOptions opts;
   opts.mli_mode = MliMode::PaperNameMatch;
   auto run = test::run_pipeline(test::fig4_source(), opts);
   const Report streamed =
@@ -50,7 +50,7 @@ TEST(Streaming, PaperMliModeMatchesBatch) {
 
 TEST(Streaming, EnforcesPassOrder) {
   const MclRegion region{"main", 1, 2};
-  StreamingAutoCheck streaming(region);
+  SessionStream streaming(region);
   trace::TraceRecord rec;
   rec.opcode = trace::Opcode::Br;
   rec.func = "main";
@@ -64,7 +64,7 @@ TEST(Streaming, ThrowsWhenRegionNeverExecutes) {
   region.function = "main";
   region.begin_line = 9000;
   region.end_line = 9001;
-  StreamingAutoCheck streaming(region);
+  SessionStream streaming(region);
   for (const auto& r : run.records) streaming.pass1_add(r);
   EXPECT_THROW(streaming.finish_pass1(), AnalysisError);
 }
@@ -79,7 +79,7 @@ TEST(Streaming, TrailingCallIsFlushedAtFinish) {
     if (truncated.size() > run.records.size() / 2 && r.opcode == trace::Opcode::Call) break;
   }
   const MclRegion region = analysis::find_mcl_region(test::fig4_source());
-  StreamingAutoCheck streaming(region);
+  SessionStream streaming(region);
   for (const auto& r : truncated) streaming.pass1_add(r);
   streaming.finish_pass1();
   for (const auto& r : truncated) streaming.pass2_add(r);

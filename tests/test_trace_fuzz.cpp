@@ -3,7 +3,7 @@
 // into records that the analysis handles/reports cleanly).
 #include <gtest/gtest.h>
 
-#include "analysis/autocheck.hpp"
+#include "analysis/session.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "trace/reader.hpp"
@@ -43,7 +43,7 @@ TEST_P(TraceFuzz, MutatedTraceNeverCrashes) {
     // If it still parses, the analysis must either succeed or throw a typed
     // library error — never crash or hang.
     try {
-      auto report = analysis::analyze_records(records, region);
+      auto report = analysis::Session().records(records).region(region).run();
       (void)report;
     } catch (const ac::Error&) {
     }

@@ -1,5 +1,6 @@
-// The §V-A OpenMP trace-reading optimization must be observationally
-// equivalent to the serial reader: same records, same order, regardless of
+// The §V-A parallel trace read (read_trace_buffer_parallel, and FileSource
+// with a read-thread budget) must be observationally equivalent to the
+// read_trace_text reference parser: same records, same order, regardless of
 // where chunk boundaries fall relative to instruction blocks.
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "apps/harness.hpp"
 #include "trace/reader.hpp"
+#include "trace/source.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
 
@@ -44,13 +46,15 @@ std::string synth_trace(std::size_t blocks) {
   return text;
 }
 
-void expect_same(const std::vector<TraceRecord>& a, const std::vector<TraceRecord>& b) {
+void expect_same(const std::vector<TraceRecord>& a, const TraceBuffer& buf) {
+  const std::vector<TraceRecord> b = buf.materialize_all();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].dyn_id, b[i].dyn_id) << "at " << i;
     EXPECT_EQ(a[i].func, b[i].func) << "at " << i;
     EXPECT_EQ(a[i].opcode, b[i].opcode) << "at " << i;
     EXPECT_EQ(a[i].operands.size(), b[i].operands.size()) << "at " << i;
+    EXPECT_EQ(a[i].to_text(), b[i].to_text()) << "at " << i;
   }
 }
 
@@ -59,12 +63,11 @@ class ParallelReaderSizes : public testing::TestWithParam<std::size_t> {};
 TEST_P(ParallelReaderSizes, MatchesSerial) {
   const std::string text = synth_trace(GetParam());
   const auto serial = read_trace_text(text);
-  const auto parallel = read_trace_text_parallel(text, 4);
-  expect_same(serial, parallel);
+  expect_same(serial, read_trace_buffer_parallel(text, 4));
 }
 
-// Sizes straddle the small-input serial fallback (4096 lines) and several
-// chunking patterns.
+// Sizes straddle the small-input serial fallback (256 KiB of text) and
+// several chunking patterns.
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelReaderSizes,
                          testing::Values(0u, 1u, 7u, 100u, 1500u, 2000u, 5000u, 20000u));
 
@@ -72,8 +75,7 @@ TEST(ParallelReader, ThreadCountsAgree) {
   const std::string text = synth_trace(8000);
   const auto serial = read_trace_text(text);
   for (int threads : {1, 2, 3, 8}) {
-    const auto parallel = read_trace_text_parallel(text, threads);
-    expect_same(serial, parallel);
+    expect_same(serial, read_trace_buffer_parallel(text, threads));
   }
 }
 
@@ -82,14 +84,14 @@ TEST(ParallelReader, RealAppTraceMatches) {
   const std::string path = testing::TempDir() + "/ac_cg_trace.txt";
   apps::analyze_app_via_file(app, {}, path);
   const auto serial = read_trace_file(path);
-  const auto parallel = read_trace_file_parallel(path, 3);
-  expect_same(serial, parallel);
+  FileSource source(path, 3);
+  expect_same(serial, source.buffer());
 }
 
 TEST(ParallelReader, PropagatesParseErrors) {
   std::string text = synth_trace(6000);
   text += "0,3,foo,6:1,999,1\n";  // unknown opcode in the last chunk
-  EXPECT_THROW(read_trace_text_parallel(text, 4), ac::TraceFormatError);
+  EXPECT_THROW(read_trace_buffer_parallel(text, 4), ac::TraceFormatError);
 }
 
 // The executor's exception_ptr propagation makes the parallel error identical
@@ -106,7 +108,7 @@ TEST(ParallelReader, ParallelErrorIdenticalToSerial) {
     serial_what = e.what();
   }
   try {
-    read_trace_text_parallel(text, 4);
+    read_trace_buffer_parallel(text, 4);
     FAIL() << "parallel parse accepted the corrupt trace";
   } catch (const ac::TraceFormatError& e) {
     EXPECT_STREQ(serial_what.c_str(), e.what());
@@ -136,7 +138,8 @@ TEST(ParallelReader, BufferParallelErrorIdenticalToSerial) {
 }
 
 TEST(ParallelReader, MissingFileThrows) {
-  EXPECT_THROW(read_trace_file_parallel("/no/such/file.txt"), ac::Error);
+  FileSource source("/no/such/file.txt", 4);
+  EXPECT_THROW(source.buffer(), ac::Error);
 }
 
 }  // namespace

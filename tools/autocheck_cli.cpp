@@ -12,8 +12,8 @@
 //
 // The tool is a thin shell over analysis::Session: one FileSource feeds every
 // mode (--suggest included), and the output modes are ReportSinks.
-// --threads N > 1 parallelizes both the trace read (§V-A) and the sharded
-// classification stage; --parallel [n] is the historical alias.
+// --threads N > 1 parallelizes the trace read (§V-A); --parallel [n] is the
+// historical alias.
 #include <sys/stat.h>
 
 #include <cctype>
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     // One source serves every mode; the read (serial or parallel mmap parse)
     // happens exactly once.
     auto source = std::make_shared<ac::trace::FileSource>(trace_path);
-    source->set_read_threads(opts.effective_read_threads());
+    source->set_read_threads(opts.threads);
 
     if (!recode_path.empty()) {
       // Trace conversion: materialize the interned buffer (text parse or MCTB
