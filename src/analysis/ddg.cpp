@@ -21,7 +21,7 @@ void Ddg::add_edge(int parent, int child) {
   AC_CHECK(parent >= 0 && parent < num_nodes() && child >= 0 && child < num_nodes(),
            "ddg edge endpoint out of range");
   if (parent == child) return;  // self-loops carry no contraction information
-  edges_.emplace(parent, child);
+  if (edge_keys_.insert(edge_key(parent, child)).second) edges_.emplace(parent, child);
 }
 
 int Ddg::find(const std::string& label) const {

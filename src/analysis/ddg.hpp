@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace ac::analysis {
@@ -40,7 +41,9 @@ class Ddg {
 
   std::vector<int> parents(int n) const;
   std::vector<int> children(int n) const;
-  bool has_edge(int parent, int child) const { return edges_.count({parent, child}) > 0; }
+  bool has_edge(int parent, int child) const {
+    return edge_keys_.count(edge_key(parent, child)) > 0;
+  }
 
   /// Algorithm 1: the MLI-only contracted DDG. Node labels are preserved.
   Ddg contract() const;
@@ -52,7 +55,15 @@ class Ddg {
   std::unordered_map<std::string, int> index_;
   std::vector<std::string> labels_;
   std::vector<NodeKind> kinds_;
-  std::set<std::pair<int, int>> edges_;  // (parent, child)
+  static std::uint64_t edge_key(int parent, int child) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(parent)) << 32 |
+           static_cast<std::uint32_t>(child);
+  }
+
+  std::set<std::pair<int, int>> edges_;  // (parent, child), the iteration order
+  // The same edges, hashed: the replay re-adds most edges many times, and a
+  // hash probe is far cheaper than a tree descent.
+  std::unordered_set<std::uint64_t> edge_keys_;
 };
 
 }  // namespace ac::analysis

@@ -5,6 +5,7 @@
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
+#include "support/telemetry.hpp"
 
 namespace ac::analysis {
 
@@ -36,6 +37,8 @@ struct Prov {
     for (const auto& s : other.sources) add(s.first, s.second);
   }
 };
+
+const Prov kNoProv;
 
 /// Registers are their pool ids: hashing an u32 instead of a register-name
 /// string is the single biggest win of the interned replay.
@@ -83,6 +86,11 @@ struct DepAnalyzer::Impl {
   // resolved without rebuilding label strings per record.
   std::unordered_map<int, int> var_nodes;                    // var id -> node
   std::unordered_map<std::uint64_t, int> reg_nodes;          // func<<32|reg -> node
+  // Merge target of on_arith / form-1 calls. It and every register's Prov
+  // keep their capacity across records: provenance is copy-assigned in place,
+  // so the replay stops allocating once the registers are warm.
+  Prov scratch_prov;
+  std::uint64_t edge_inserts = 0;  // add_edge calls, duplicates included
 
   Impl(PreprocessResult& p, const MclRegion& r, const DepOptions& o)
       : pre(p), region(r), opts(o) {
@@ -170,6 +178,11 @@ struct DepAnalyzer::Impl {
     return node;
   }
 
+  void add_edge(int parent, int child) {
+    ++edge_inserts;
+    result.complete.add_edge(parent, child);
+  }
+
   // --- record handlers --------------------------------------------------------
 
   void on_alloca(const PackedRecord& r, const PackedOperand* ops) {
@@ -191,37 +204,37 @@ struct DepAnalyzer::Impl {
     const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
     if (!ptr || !result_op || !ptr->is_addr()) throw AnalysisError("malformed Load record");
     const auto hit = amap.resolve(ptr->addr());
-    Prov prov;
+    Prov& prov = frame().reg_prov[result_op->name];  // rebuilt in place
+    prov.sources.clear();
     if (hit) {
       prov.add(hit->var, hit->elem);
-      if (opts.build_ddg) {
-        result.complete.add_edge(ddg_var_node(hit->var), ddg_reg_node(r.func, result_op->name));
-      }
+      if (opts.build_ddg) add_edge(ddg_var_node(hit->var), ddg_reg_node(r.func, result_op->name));
       if (at_header(r)) result.induction.cond_read.insert(hit->var);
     }
-    frame().reg_prov[result_op->name] = std::move(prov);
   }
 
-  Prov prov_of_operand(const PackedOperand& op) {
-    if (!op.is_reg() || op.name == SymbolPool::npos) return {};
-    auto it = frame().reg_prov.find(op.name);
-    return it == frame().reg_prov.end() ? Prov{} : it->second;
+  /// The operand's provenance; valid until the current frame's reg_prov map
+  /// is next modified.
+  const Prov& prov_of_operand(const PackedOperand& op) {
+    if (!op.is_reg() || op.name == SymbolPool::npos) return kNoProv;
+    const auto& reg_prov = frame().reg_prov;
+    const auto it = reg_prov.find(op.name);
+    return it == reg_prov.end() ? kNoProv : it->second;
   }
 
   void on_arith(const PackedRecord& r, const PackedOperand* ops) {
     const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
     if (!result_op) return;
-    Prov merged;
+    scratch_prov.sources.clear();
     for (std::uint32_t i = 0; i < r.op_count; ++i) {
       const PackedOperand& op = ops[i];
       if (op.slot() != OperandSlot::Input) continue;
-      merged.merge(prov_of_operand(op));
+      scratch_prov.merge(prov_of_operand(op));
       if (opts.build_ddg && op.is_reg() && op.name != SymbolPool::npos) {
-        result.complete.add_edge(ddg_reg_node(r.func, op.name),
-                                 ddg_reg_node(r.func, result_op->name));
+        add_edge(ddg_reg_node(r.func, op.name), ddg_reg_node(r.func, result_op->name));
       }
     }
-    frame().reg_prov[result_op->name] = std::move(merged);
+    frame().reg_prov[result_op->name] = scratch_prov;
   }
 
   void on_store(const PackedRecord& r, const PackedOperand* ops) {
@@ -239,14 +252,14 @@ struct DepAnalyzer::Impl {
       return;
     }
 
-    const Prov sources = prov_of_operand(*value);
+    const Prov& sources = prov_of_operand(*value);
     for (const auto& [svar, selem] : sources.sources) {
       push_event(svar, selem, /*is_write=*/false, r.line);
     }
     push_event(hit->var, hit->elem, /*is_write=*/true, r.line);
 
     if (opts.build_ddg && value->is_reg() && value->name != SymbolPool::npos) {
-      result.complete.add_edge(ddg_reg_node(r.func, value->name), ddg_var_node(hit->var));
+      add_edge(ddg_reg_node(r.func, value->name), ddg_var_node(hit->var));
     }
 
     if (part == Part::B) {
@@ -277,21 +290,20 @@ struct DepAnalyzer::Impl {
       // Form 1: treated like an arithmetic instruction — argument registers
       // feed the result; argument reads of MLI variables are data reads
       // (this is how Outcome consumption by e.g. print_float is observed).
-      Prov merged;
+      scratch_prov.sources.clear();
       for (std::uint32_t i = 0; i < r.op_count; ++i) {
         const PackedOperand& op = ops[i];
         if (op.slot() != OperandSlot::Input) continue;
-        const Prov p = prov_of_operand(op);
+        const Prov& p = prov_of_operand(op);
         for (const auto& [svar, selem] : p.sources) {
           push_event(svar, selem, /*is_write=*/false, r.line);
         }
-        merged.merge(p);
+        scratch_prov.merge(p);
         if (opts.build_ddg && result_op && op.is_reg() && op.name != SymbolPool::npos) {
-          result.complete.add_edge(ddg_reg_node(r.func, op.name),
-                                   ddg_reg_node(r.func, result_op->name));
+          add_edge(ddg_reg_node(r.func, op.name), ddg_reg_node(r.func, result_op->name));
         }
       }
-      if (result_op) frame().reg_prov[result_op->name] = std::move(merged);
+      if (result_op) frame().reg_prov[result_op->name] = scratch_prov;
       return;
     }
 
@@ -315,22 +327,20 @@ struct DepAnalyzer::Impl {
   }
 
   void on_ret(const PackedRecord& r, const PackedOperand* ops) {
-    Prov ret_prov;
+    if (frames.size() < 2) return;  // a return from the bottom frame binds nothing
     const PackedOperand* value = trace::find_input(r, ops, 1);
-    if (value) ret_prov = prov_of_operand(*value);
-    const std::uint32_t pending = frame().pending_dst;
-    if (frames.size() > 1) {
-      frames.pop_back();
-      if (pending != SymbolPool::npos) {
-        if (opts.build_ddg && value && value->is_reg() && value->name != SymbolPool::npos) {
-          // Bind the callee's return register to the caller's result register
-          // so dependency chains survive function boundaries in the DDG.
-          result.complete.add_edge(ddg_reg_node(r.func, value->name),
-                                   ddg_reg_node(frame().func, pending));
-        }
-        frame().reg_prov[pending] = std::move(ret_prov);
+    AnalysisFrame& callee = frames.back();
+    AnalysisFrame& caller = frames[frames.size() - 2];
+    if (callee.pending_dst != SymbolPool::npos) {
+      if (opts.build_ddg && value && value->is_reg() && value->name != SymbolPool::npos) {
+        // Bind the callee's return register to the caller's result register
+        // so dependency chains survive function boundaries in the DDG.
+        add_edge(ddg_reg_node(r.func, value->name), ddg_reg_node(caller.func, callee.pending_dst));
       }
+      const Prov& ret = value ? prov_of_operand(*value) : kNoProv;  // callee's map
+      caller.reg_prov[callee.pending_dst] = ret;
     }
+    frames.pop_back();
   }
 
   void on_br(const PackedRecord& r, const PackedOperand* ops) {
@@ -392,7 +402,20 @@ struct DepAnalyzer::Impl {
       dispatch_call(pending_rec, pending_ops.data(), /*with_body=*/false);
     }
     result.iterations = iteration;
+    note_counters();
     return std::move(result);
+  }
+
+  /// Bulk metric update, once per replay — the record loop stays untouched.
+  void note_counters() const {
+    static auto& records = telemetry::metrics().counter("dep.records");
+    static auto& events = telemetry::metrics().counter("dep.events");
+    static auto& inserts = telemetry::metrics().counter("dep.edge_inserts");
+    static auto& edges = telemetry::metrics().counter("dep.ddg_edges");
+    records.add(static_cast<std::uint64_t>(idx + 1));
+    events.add(result.events.size());
+    inserts.add(edge_inserts);
+    edges.add(result.complete.num_edges());
   }
 };
 

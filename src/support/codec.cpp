@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -36,6 +37,22 @@ constexpr std::size_t kLzMaxMatch = 0x7F + kLzMinMatch;  // 131
 constexpr std::size_t kLzMaxLiteral = 0x80;
 constexpr std::size_t kLzWindow = 0xFFFF;
 constexpr std::size_t kLzHashBits = 15;
+
+// Decode copy passes move short tokens with one fixed 16-byte (literals,
+// matches) or 32-byte (runs) store instead of a variable-length call, so the
+// output carries this much writable slack past its end while they run.
+constexpr std::size_t kCopySlack = 32;
+
+/// Copy a literal of n bytes from in[i] to o, over-copying short ones when
+/// the input has 16 readable bytes left.
+inline void copy_literal(char* o, const unsigned char* in, std::size_t i, std::size_t size,
+                         std::size_t n) {
+  if (n <= 16 && i + 16 <= size) {
+    std::memcpy(o, in + i, 16);
+  } else {
+    std::memcpy(o, in + i, n);
+  }
+}
 
 std::uint32_t lz_hash(const unsigned char* p) {
   std::uint32_t v;
@@ -116,28 +133,49 @@ class RleCodec final : public Codec {
 
   void decode_into(std::string_view payload, std::size_t max_out, std::string_view,
                    std::string& out) const override {
-    out.clear();
-    // One upfront reservation sized by what the tokens can actually produce
-    // (a run token expands to at most kRleMaxRun bytes), capped by the
-    // caller's limit — a corrupt huge `max_out` never allocates ahead of
-    // real decoded bytes.
-    out.reserve(std::min(max_out, payload.size() * (kRleMaxRun / 2) + 16));
-    std::size_t i = 0;
-    while (i < payload.size()) {
-      const unsigned char c = static_cast<unsigned char>(payload[i++]);
+    // Pass 1 walks the control bytes only: it sizes the output exactly and
+    // raises every error, in token order, before a byte is written — so a
+    // corrupt huge `max_out` never allocates ahead of real decoded bytes, and
+    // pass 2 copies with no checks into a buffer that never grows.
+    const auto* in = reinterpret_cast<const unsigned char*>(payload.data());
+    const std::size_t size = payload.size();
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < size;) {
+      const unsigned char c = in[i++];
       if (c < 0x80) {
         const std::size_t n = static_cast<std::size_t>(c) + 1;
-        if (i + n > payload.size()) throw CodecError("rle: truncated literal run");
-        if (out.size() + n > max_out) throw CodecError("rle: output exceeds limit");
-        out.append(payload.data() + i, n);
+        if (i + n > size) throw CodecError("rle: truncated literal run");
+        if (total + n > max_out) throw CodecError("rle: output exceeds limit");
+        total += n;
         i += n;
       } else {
-        if (i >= payload.size()) throw CodecError("rle: truncated repeat run");
+        if (i >= size) throw CodecError("rle: truncated repeat run");
         const std::size_t n = static_cast<std::size_t>(c - 0x80) + kRleMinRun;
-        if (out.size() + n > max_out) throw CodecError("rle: output exceeds limit");
-        out.append(n, payload[i++]);
+        if (total + n > max_out) throw CodecError("rle: output exceeds limit");
+        total += n;
+        ++i;
       }
     }
+    out.resize(total + kCopySlack);
+    char* o = out.data();
+    for (std::size_t i = 0; i < size;) {
+      const unsigned char c = in[i++];
+      if (c < 0x80) {
+        const std::size_t n = static_cast<std::size_t>(c) + 1;
+        copy_literal(o, in, i, size, n);
+        o += n;
+        i += n;
+      } else {
+        const std::size_t n = static_cast<std::size_t>(c - 0x80) + kRleMinRun;
+        if (n <= 32) {
+          std::memset(o, in[i++], 32);
+        } else {
+          std::memset(o, in[i++], n);
+        }
+        o += n;
+      }
+    }
+    out.resize(total);
   }
 };
 
@@ -200,42 +238,56 @@ class LzCodec final : public Codec {
 
   void decode_into(std::string_view payload, std::size_t max_out, std::string_view,
                    std::string& out) const override {
-    out.clear();
-    // Sized by the tokens' maximum expansion (a 3-byte match token produces
-    // at most kLzMaxMatch bytes), capped by the caller's limit: big decodes
-    // (the MCTB trace columns) proceed memcpy-speed without growth stalls,
-    // while a corrupt huge `max_out` never allocates ahead of real bytes.
-    out.reserve(std::min(max_out, payload.size() * (kLzMaxMatch / 3) + 16));
-    std::size_t i = 0;
-    while (i < payload.size()) {
-      const unsigned char c = static_cast<unsigned char>(payload[i++]);
+    // Two passes, as in RleCodec::decode_into: the token walk sizes the
+    // output exactly and raises every error in token order; the copy pass
+    // then runs check-free into the final buffer.
+    const auto* in = reinterpret_cast<const unsigned char*>(payload.data());
+    const std::size_t size = payload.size();
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < size;) {
+      const unsigned char c = in[i++];
       if (c < 0x80) {
         const std::size_t len = static_cast<std::size_t>(c) + 1;
-        if (i + len > payload.size()) throw CodecError("lz: truncated literal run");
-        if (out.size() + len > max_out) throw CodecError("lz: output exceeds limit");
-        out.append(payload.data() + i, len);
+        if (i + len > size) throw CodecError("lz: truncated literal run");
+        if (total + len > max_out) throw CodecError("lz: output exceeds limit");
+        total += len;
         i += len;
       } else {
-        if (i + 2 > payload.size()) throw CodecError("lz: truncated match token");
+        if (i + 2 > size) throw CodecError("lz: truncated match token");
         const std::size_t len = static_cast<std::size_t>(c - 0x80) + kLzMinMatch;
-        const std::size_t dist = static_cast<unsigned char>(payload[i]) |
-                                 (static_cast<std::size_t>(static_cast<unsigned char>(payload[i + 1])) << 8);
+        const std::size_t dist = in[i] | (static_cast<std::size_t>(in[i + 1]) << 8);
         i += 2;
-        if (dist == 0 || dist > out.size()) throw CodecError("lz: match distance out of window");
-        if (out.size() + len > max_out) throw CodecError("lz: output exceeds limit");
-        const std::size_t old = out.size();
-        if (dist >= len) {
-          // Non-overlapping match: one bulk copy. resize first so a
-          // reallocation cannot invalidate the source half-way through.
-          out.resize(old + len);
-          std::memcpy(out.data() + old, out.data() + (old - dist), len);
-        } else {
-          // Overlapping match (dist < len): the output feeds itself.
-          std::size_t src = old - dist;
-          for (std::size_t k = 0; k < len; ++k) out.push_back(out[src + k]);
-        }
+        if (dist == 0 || dist > total) throw CodecError("lz: match distance out of window");
+        if (total + len > max_out) throw CodecError("lz: output exceeds limit");
+        total += len;
       }
     }
+    out.resize(total + kCopySlack);
+    char* o = out.data();
+    for (std::size_t i = 0; i < size;) {
+      const unsigned char c = in[i++];
+      if (c < 0x80) {
+        const std::size_t len = static_cast<std::size_t>(c) + 1;
+        copy_literal(o, in, i, size, len);
+        o += len;
+        i += len;
+      } else {
+        const std::size_t len = static_cast<std::size_t>(c - 0x80) + kLzMinMatch;
+        const std::size_t dist = in[i] | (static_cast<std::size_t>(in[i + 1]) << 8);
+        i += 2;
+        if (len <= 16 && dist >= 16) {
+          std::memcpy(o, o - dist, 16);  // source ends at or before o
+        } else if (dist >= len) {
+          std::memcpy(o, o - dist, len);
+        } else {
+          // Overlapping match (dist < len): the output feeds itself.
+          const char* src = o - dist;
+          for (std::size_t k = 0; k < len; ++k) o[k] = src[k];
+        }
+        o += len;
+      }
+    }
+    out.resize(total);
   }
 };
 
@@ -376,6 +428,78 @@ void CodecChain::decode_into(std::string_view payload, std::size_t expect_raw_si
 
 namespace scalar {
 
+namespace {
+
+std::uint64_t load_u64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+void store_u64(unsigned char* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
+
+/// Exchange the bytes of x selected by mask << shift with the bytes of y
+/// selected by mask: one step of a SWAR byte-matrix transpose.
+void swap_bytes(std::uint64_t& x, std::uint64_t& y, int shift, std::uint64_t mask) {
+  const std::uint64_t t = ((x >> shift) ^ y) & mask;
+  y ^= t;
+  x ^= t << shift;
+}
+
+constexpr std::uint64_t kLow32 = 0x00000000FFFFFFFFull;
+constexpr std::uint64_t kSwap16 = 0x0000FFFF0000FFFFull;
+constexpr std::uint64_t kSwap8 = 0x00FF00FF00FF00FFull;
+
+/// Unshuffle elements [i, i + 8) of a stride-4 or stride-8 column by
+/// transposing one little-endian word per plane (byte k of a plane word is
+/// element i + k): a word load and store per element instead of one per byte.
+void unshuffle8_words(const unsigned char* src, std::size_t count, std::size_t stride,
+                      std::size_t i, unsigned char* dst) {
+  if (stride == 8) {
+    std::uint64_t a0 = load_u64(src + i), a1 = load_u64(src + count + i),
+                  a2 = load_u64(src + 2 * count + i), a3 = load_u64(src + 3 * count + i),
+                  a4 = load_u64(src + 4 * count + i), a5 = load_u64(src + 5 * count + i),
+                  a6 = load_u64(src + 6 * count + i), a7 = load_u64(src + 7 * count + i);
+    swap_bytes(a0, a4, 32, kLow32);
+    swap_bytes(a1, a5, 32, kLow32);
+    swap_bytes(a2, a6, 32, kLow32);
+    swap_bytes(a3, a7, 32, kLow32);
+    swap_bytes(a0, a2, 16, kSwap16);
+    swap_bytes(a1, a3, 16, kSwap16);
+    swap_bytes(a4, a6, 16, kSwap16);
+    swap_bytes(a5, a7, 16, kSwap16);
+    swap_bytes(a0, a1, 8, kSwap8);
+    swap_bytes(a2, a3, 8, kSwap8);
+    swap_bytes(a4, a5, 8, kSwap8);
+    swap_bytes(a6, a7, 8, kSwap8);
+    unsigned char* d = dst + i * 8;
+    store_u64(d, a0);
+    store_u64(d + 8, a1);
+    store_u64(d + 16, a2);
+    store_u64(d + 24, a3);
+    store_u64(d + 32, a4);
+    store_u64(d + 40, a5);
+    store_u64(d + 48, a6);
+    store_u64(d + 56, a7);
+  } else {  // stride 4: a 4x4 transpose in each 32-bit half
+    std::uint64_t a0 = load_u64(src + i), a1 = load_u64(src + count + i),
+                  a2 = load_u64(src + 2 * count + i), a3 = load_u64(src + 3 * count + i);
+    swap_bytes(a0, a2, 16, kSwap16);
+    swap_bytes(a1, a3, 16, kSwap16);
+    swap_bytes(a0, a1, 8, kSwap8);
+    swap_bytes(a2, a3, 8, kSwap8);
+    // Word r now holds element i + r in its low half, i + 4 + r in its high.
+    unsigned char* d = dst + i * 4;
+    store_u64(d, (a0 & kLow32) | a1 << 32);
+    store_u64(d + 8, (a2 & kLow32) | a3 << 32);
+    store_u64(d + 16, a0 >> 32 | (a1 & ~kLow32));
+    store_u64(d + 24, a2 >> 32 | (a3 & ~kLow32));
+  }
+}
+
+}  // namespace
+
+
 std::string shuffle_planes(const void* data, std::size_t count, std::size_t stride) {
   const auto* in = static_cast<const unsigned char*>(data);
   std::string out(count * stride, '\0');
@@ -394,11 +518,15 @@ void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t str
                           count, stride));
   }
   auto* dst = static_cast<unsigned char*>(out);
-  for (std::size_t plane = 0; plane < stride; ++plane) {
-    const char* src = bytes.data() + plane * count;
-    for (std::size_t i = 0; i < count; ++i) {
-      dst[i * stride + plane] = static_cast<unsigned char>(src[i]);
+  const auto* src = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t done = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (stride == 4 || stride == 8) {
+      for (; done + 8 <= count; done += 8) unshuffle8_words(src, count, stride, done, dst);
     }
+  }
+  for (std::size_t plane = 0; plane < stride; ++plane) {
+    for (std::size_t i = done; i < count; ++i) dst[i * stride + plane] = src[plane * count + i];
   }
 }
 

@@ -1,5 +1,6 @@
 #include "trace/buffer.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 
 #include "support/error.hpp"
@@ -76,6 +77,19 @@ std::string RecordView::to_text() const {
   return out;
 }
 
+namespace {
+
+/// Room for `extra` more elements, growing by at least half the current
+/// capacity: an exact-fit reserve would re-copy the whole accumulated array
+/// on every append of a many-chunk merge.
+template <class T>
+void reserve_for_append(std::vector<T>& v, std::size_t extra) {
+  const std::size_t need = v.size() + extra;
+  if (need > v.capacity()) v.reserve(std::max(need, v.capacity() + v.capacity() / 2));
+}
+
+}  // namespace
+
 void TraceBuffer::append_buffer(const TraceBuffer& other) {
   append_remapped(other, pool_.merge(other.pool_));
 }
@@ -89,12 +103,12 @@ void TraceBuffer::append_remapped(const TraceBuffer& other,
     throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
   }
   const auto op_base = static_cast<std::uint32_t>(operands_.size());
-  operands_.reserve(operands_.size() + other.operands_.size());
+  reserve_for_append(operands_, other.operands_.size());
   for (PackedOperand op : other.operands_) {
     op.name = remap_id(op.name);
     operands_.push_back(op);
   }
-  records_.reserve(records_.size() + other.records_.size());
+  reserve_for_append(records_, other.records_.size());
   for (PackedRecord rec : other.records_) {
     rec.func = remap_id(rec.func);
     rec.bb = remap_id(rec.bb);

@@ -190,7 +190,8 @@ class TraceBuffer {
 
   /// Bulk-append `other`'s records, remapping its pool ids into this pool
   /// (the parallel-parse merge step). Thread-safe on the pool side; array
-  /// appends are single-writer.
+  /// appends are single-writer. The arrays grow geometrically, so a merge of
+  /// many chunks costs amortized linear time.
   void append_buffer(const TraceBuffer& other);
 
   /// Same, with the pool-id remap already computed (pool().merge(other.pool())

@@ -1,6 +1,7 @@
 #include "trace/reader.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -80,18 +81,95 @@ struct Fields {
   std::size_t count = 0;
 };
 
+/// One byte scan over the line; fields past the sixth are only counted.
 void split_fields(std::string_view line, Fields& out) {
-  out.count = 0;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = line.find(',', start);
-    const std::string_view field =
-        pos == std::string_view::npos ? line.substr(start) : line.substr(start, pos - start);
-    if (out.count < 6) out.v[out.count] = field;
-    ++out.count;
-    if (pos == std::string_view::npos) break;
-    start = pos + 1;
+  const char* const end = line.data() + line.size();
+  const char* start = line.data();
+  std::size_t n = 0;
+  for (const char* p = start; p != end; ++p) {
+    if (*p != ',') continue;
+    if (n < 6) out.v[n] = std::string_view(start, static_cast<std::size_t>(p - start));
+    ++n;
+    start = p + 1;
   }
+  if (n < 6) out.v[n] = std::string_view(start, static_cast<std::size_t>(end - start));
+  out.count = n + 1;
+}
+
+// The same byte set std::isspace accepts in the "C" locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// trim(), with the common case — no leading or trailing whitespace — decided
+/// from two bytes.
+std::string_view trim_edges(std::string_view s) {
+  if (s.empty() || (!is_space(s.front()) && !is_space(s.back()))) return s;
+  return trim(s);
+}
+
+bool is_blank(std::string_view line) { return trim_edges(line).empty(); }
+
+bool is_digit(char c) { return static_cast<unsigned char>(c - '0') <= 9; }
+
+/// Accumulate the decimal digits of [p, end); false on any other byte.
+bool decimal(const char* p, const char* end, std::int64_t& v) {
+  for (; p != end; ++p) {
+    if (!is_digit(*p)) return false;
+    v = v * 10 + (*p - '0');
+  }
+  return true;
+}
+
+/// Integer field. Plain [-]digits of at most 18 digits (cannot overflow) are
+/// parsed inline; every other spelling goes through parse_i64, so values and
+/// errors are exactly those of the reference parser.
+std::int64_t field_i64(std::string_view s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  const bool neg = p != end && *p == '-';
+  if (neg) ++p;
+  std::int64_t v = 0;
+  if (p == end || end - p > 18 || !decimal(p, end, v)) return parse_i64(s);
+  return neg ? -v : v;
+}
+
+/// Operand value field, with fast paths for the three spellings the trace
+/// writers emit: [-]digits, lowercase 0x<hex> and %.6f. Anything else goes
+/// through value_from_text.
+Value field_value(std::string_view s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  if (s.size() > 2 && p[0] == '0' && p[1] == 'x') {
+    if (s.size() <= 18) {
+      std::uint64_t a = 0;
+      for (p += 2; p != end; ++p) {
+        const char c = *p;
+        if (is_digit(c)) {
+          a = a << 4 | static_cast<std::uint64_t>(c - '0');
+        } else if (c >= 'a' && c <= 'f') {
+          a = a << 4 | static_cast<std::uint64_t>(c - 'a' + 10);
+        } else {
+          break;
+        }
+      }
+      if (p == end) return Value::make_addr(a);
+    }
+    return value_from_text(s);
+  }
+  const bool neg = p != end && *p == '-';
+  if (neg) ++p;
+  const char* const dot = static_cast<const char*>(
+      std::memchr(p, '.', static_cast<std::size_t>(end - p)));
+  std::int64_t v = 0;
+  if (!dot) {
+    if (p != end && end - p <= 18 && decimal(p, end, v)) return Value::make_int(neg ? -v : v);
+  } else if (dot != p && end - dot == 7 && dot - p <= 9 && decimal(p, dot, v) &&
+             decimal(dot + 1, end, v)) {
+    // At most 15 significant digits, so v is exact as a double and one
+    // correctly rounded division gives strtod's result.
+    const double f = static_cast<double>(v) / 1e6;
+    return Value::make_float(neg ? -f : f);
+  }
+  return value_from_text(s);
 }
 
 /// Append every block of `text` to `buf`. Same grammar, same disambiguation
@@ -101,47 +179,62 @@ void parse_text_into(std::string_view text, TraceBuffer& buf) {
   std::vector<PackedRecord>& records = buf.records();
   std::vector<PackedOperand>& operands = buf.operands();
 
+  // Consecutive records mostly share their function and block: equal bytes
+  // reuse the previous id instead of hashing again.
+  std::string_view last_func, last_bb;
+  std::uint32_t last_func_id = SymbolPool::npos, last_bb_id = SymbolPool::npos;
+
   LineCursor cursor{text, 0};
   Fields f;
   std::string_view line;
   bool have = cursor.next(line);
   while (have) {
-    if (trim(line).empty()) {
+    if (is_blank(line)) {
       have = cursor.next(line);
       continue;
     }
     split_fields(line, f);
-    if (f.count < 6 || trim(f.v[0]) != "0") {
+    if (f.count < 6 || trim_edges(f.v[0]) != "0") {
       throw TraceFormatError("bad block header: '" + std::string(line) + "'");
     }
     PackedRecord rec;
-    rec.line = static_cast<std::int32_t>(parse_i64(f.v[1]));
-    rec.func = pool.intern(trim(f.v[2]));
-    rec.bb = pool.intern(trim(f.v[3]));
-    const int opnum = static_cast<int>(parse_i64(f.v[4]));
+    rec.line = static_cast<std::int32_t>(field_i64(f.v[1]));
+    const std::string_view func = trim_edges(f.v[2]);
+    if (func != last_func) {
+      last_func = func;
+      last_func_id = pool.intern(func);
+    }
+    rec.func = last_func_id;
+    const std::string_view bb = trim_edges(f.v[3]);
+    if (bb != last_bb) {
+      last_bb = bb;
+      last_bb_id = pool.intern(bb);
+    }
+    rec.bb = last_bb_id;
+    const int opnum = static_cast<int>(field_i64(f.v[4]));
     if (!is_known_opcode(opnum)) {
       throw TraceFormatError(strf("unknown opcode %d at dyn record '%s'", opnum,
                                   std::string(line).c_str()));
     }
     rec.opcode = static_cast<Opcode>(opnum);
-    rec.dyn_id = static_cast<std::uint64_t>(parse_i64(f.v[5]));
+    rec.dyn_id = static_cast<std::uint64_t>(field_i64(f.v[5]));
     if (operands.size() > 0xffffffffull) {
       throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
     }
     rec.op_offset = static_cast<std::uint32_t>(operands.size());
 
     while ((have = cursor.next(line))) {
-      if (trim(line).empty()) continue;
+      if (is_blank(line)) continue;
       split_fields(line, f);
+      const std::string_view slot_field = trim_edges(f.v[0]);
       // A new block starts with "0," and >= 6 fields; callee operand lines
       // ("0,bits,value,is_reg,name") have 5 (cf. parse_block).
-      if (trim(f.v[0]) == "0" && f.count >= 6) break;
+      if (slot_field == "0" && f.count >= 6) break;
       if (f.count < 5) {
         throw TraceFormatError("operand line needs 5 fields: '" + std::string(line) + "'");
       }
       PackedOperand op;
       OperandSlot slot = OperandSlot::Input;
-      const std::string_view slot_field = trim(f.v[0]);
       if (slot_field == "r") {
         slot = OperandSlot::Result;
       } else if (slot_field == "f") {
@@ -149,16 +242,16 @@ void parse_text_into(std::string_view text, TraceBuffer& buf) {
       } else if (slot_field == "0") {
         slot = OperandSlot::Callee;
       } else {
-        op.index = static_cast<std::int32_t>(parse_i64(slot_field));
+        op.index = static_cast<std::int32_t>(field_i64(slot_field));
         if (op.index <= 0) {
           throw TraceFormatError("bad operand index in '" + std::string(line) + "'");
         }
       }
-      op.bits = static_cast<std::int32_t>(parse_i64(f.v[1]));
-      const Value value = value_from_text(f.v[2]);
+      op.bits = static_cast<std::int32_t>(field_i64(f.v[1]));
+      const Value value = field_value(f.v[2]);
       op.raw = PackedOperand::raw_of(value);
-      op.name = pool.intern(trim(f.v[4]));
-      op.flags = PackedOperand::pack_flags(slot, value.kind, parse_i64(f.v[3]) != 0);
+      op.name = pool.intern(trim_edges(f.v[4]));
+      op.flags = PackedOperand::pack_flags(slot, value.kind, field_i64(f.v[3]) != 0);
       operands.push_back(op);
     }
     rec.op_count = static_cast<std::uint32_t>(operands.size()) - rec.op_offset;
@@ -301,19 +394,8 @@ TraceBuffer read_trace_buffer_parallel(std::string_view text, int num_threads,
                   1);
           reserved = true;
         }
-        // If the extrapolation undershot (chunk 0 sparser than the rest), grow
-        // geometrically here — append_remapped's own reserve is exact-fit,
-        // which would otherwise reallocate the whole arrays on every
-        // remaining chunk.
-        const auto grow = [](auto& vec, std::size_t need) {
-          if (need > vec.capacity()) {
-            vec.reserve(std::max(need, vec.capacity() + vec.capacity() / 2));
-          }
-        };
         {
           AC_SPAN("parse.splice");
-          grow(out.records(), out.records().size() + partial[c].records().size());
-          grow(out.operands(), out.operands().size() + partial[c].operands().size());
           out.append_remapped(partial[c], remaps[c]);
         }
         partial[c] = TraceBuffer();  // release chunk memory as it is consumed

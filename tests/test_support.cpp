@@ -89,6 +89,29 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(whole, b);
 }
 
+TEST(Crc32, SlicedMatchesBitwiseReference) {
+  // Every length 0..80 at every start offset 0..7 exercises the 8-byte
+  // blocks, the byte tail and unaligned loads against the bit-at-a-time
+  // definition of the polynomial.
+  const auto reference = [](const unsigned char* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  SplitMix64 rng(7);
+  std::vector<unsigned char> data(88);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.next());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; off + n <= data.size(); ++n) {
+      EXPECT_EQ(crc32(data.data() + off, n), reference(data.data() + off, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
 TEST(Crc32, DetectsCorruption) {
   std::string data = "checkpoint payload";
   const std::uint32_t before = crc32(data.data(), data.size());

@@ -1,7 +1,7 @@
 // Telemetry layer: span recording and merging across threads, ring-overflow
 // accounting, metric atomics under contention, exporter structure, and the
 // end-to-end pins of registry metrics against pipeline ground truth
-// (records parsed, shard events, VM instructions).
+// (records parsed, shard events, dependency-replay counts, VM instructions).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -241,6 +241,32 @@ TEST(TelemetryPipeline, ParseAndClassifyMetricsPinToGroundTruth) {
   }
   EXPECT_TRUE(session_span);
   EXPECT_TRUE(classify_span);
+}
+
+TEST(TelemetryPipeline, DepCountersSumTheReplayResults) {
+  TelemetryReset guard;
+  auto run = test::run_pipeline(test::fig4_source());
+  const analysis::MclRegion region = analysis::find_mcl_region(test::fig4_source());
+
+  // One batch replay and one streaming replay of the same records: the
+  // counters are bulk-added once per replay, so they must sum both results.
+  metrics().reset();
+  const analysis::Report batch = analysis::Session().records(run.records).region(region).run();
+  analysis::SessionStream stream(region, {});
+  for (const auto& r : run.records) stream.pass1_add(r);
+  stream.finish_pass1();
+  for (const auto& r : run.records) stream.pass2_add(r);
+  const analysis::Report streamed = stream.finish();
+
+  EXPECT_GT(batch.dep.events.size(), 0u);
+  EXPECT_EQ(metrics().counter_value("dep.events"),
+            batch.dep.events.size() + streamed.dep.events.size());
+  EXPECT_EQ(metrics().counter_value("dep.records"), 2 * run.records.size());
+  EXPECT_EQ(metrics().counter_value("dep.ddg_edges"),
+            batch.dep.complete.num_edges() + streamed.dep.complete.num_edges());
+  // Every distinct edge was inserted at least once; loops re-add most of them.
+  EXPECT_GT(metrics().counter_value("dep.edge_inserts"),
+            metrics().counter_value("dep.ddg_edges"));
 }
 
 TEST(TelemetryPipeline, VmInstructionCounterMatchesRunResult) {

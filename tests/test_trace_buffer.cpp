@@ -5,7 +5,9 @@
 // output across all 14 mini-app traces, serial and parallel.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <typeinfo>
 
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
@@ -172,6 +174,24 @@ TEST(TraceBuffer, AppendBufferRemapsSymbols) {
   EXPECT_EQ(a.view(1).to_text(), other.to_text());
 }
 
+TEST(TraceBuffer, RepeatedAppendsGrowGeometrically) {
+  // The daemon merges one decoded chunk per frame: each append must not
+  // re-copy the whole accumulated arrays.
+  TraceBuffer chunk;
+  chunk.append(sample_record());
+  TraceBuffer out;
+  int moves = 0;
+  const PackedRecord* last = nullptr;
+  for (int i = 0; i < 1000; ++i) {
+    out.append_buffer(chunk);
+    if (out.records().data() != last) ++moves;
+    last = out.records().data();
+  }
+  EXPECT_EQ(out.size(), 1000u);
+  EXPECT_EQ(out.view(999).to_text(), sample_record().to_text());
+  EXPECT_LT(moves, 40);  // 1.5x growth needs ~17 reallocations for 1000
+}
+
 // --- parser equivalence -----------------------------------------------------
 
 TEST(TraceBufferParse, MatchesLegacyParserOnFig4) {
@@ -196,6 +216,64 @@ TEST(TraceBufferParse, RejectsMalformedInput) {
   EXPECT_THROW(read_trace_buffer("0,3,foo,6:1,27,215\n-2,64,5,0, \n"), TraceFormatError);
   EXPECT_EQ(read_trace_buffer("").size(), 0u);
   EXPECT_EQ(read_trace_buffer("\n  \n\n").size(), 0u);
+}
+
+/// Outcome of one parse: the record's fields (float payloads as raw bits, so
+/// -0.0 and NaN compare exactly), or the thrown exception's type and what().
+std::string parse_outcome(const std::function<TraceRecord()>& parse) {
+  try {
+    const TraceRecord r = parse();
+    std::string out = strf("ok line=%d func=%s bb=%s op=%d dyn=%llu", r.line, r.func.c_str(),
+                           r.bb.c_str(), static_cast<int>(r.opcode),
+                           static_cast<unsigned long long>(r.dyn_id));
+    for (const Operand& op : r.operands) {
+      out += strf(" [slot=%d index=%d bits=%d kind=%d raw=%016llx reg=%d name=%s]",
+                  static_cast<int>(op.slot), op.index, op.bits, static_cast<int>(op.value.kind),
+                  static_cast<unsigned long long>(PackedOperand::raw_of(op.value)),
+                  op.is_reg ? 1 : 0, op.name.c_str());
+    }
+    return out;
+  } catch (const std::exception& e) {
+    return std::string("throw ") + typeid(e).name() + ": " + e.what();
+  }
+}
+
+TEST(TraceBufferParse, NumericSpellingsMatchReferenceParser) {
+  // The buffer parser has fast paths for the spellings the writers emit
+  // ([-]digits, lowercase 0x-hex, %.6f); every other spelling must fall back
+  // to the reference conversions, giving the same value or the same error.
+  const std::vector<std::string> spellings = {
+      "+7", " 7", "7 ", "-0", "007", "7", "-12", "999999999999999999", "9223372036854775807",
+      "-9223372036854775808", "9999999999999999999", "12345678901234567890", "0x", "0xABC",
+      "0x7ffc", "0x1234567890abcdef", "0x1234567890abcdef0", "1.500000", "-0.000000",
+      "123456789.123456", "1234567890.123456", "0.1234567", ".5", "5.", "1e5", "inf", "-nan", "",
+      "-", "1-2"};
+  // The numeric fields: header line, opcode, dyn id; operand index, bits,
+  // value, is_reg.
+  const std::vector<std::string> fields = {"0,{},main,entry,8,5\n1,64,3,1,%x\n",
+                                           "0,4,main,entry,{},5\n1,64,3,1,%x\n",
+                                           "0,4,main,entry,8,{}\n1,64,3,1,%x\n",
+                                           "0,4,main,entry,8,5\n{},64,3,1,%x\n",
+                                           "0,4,main,entry,8,5\n1,{},3,1,%x\n",
+                                           "0,4,main,entry,8,5\n1,64,{},1,%x\n",
+                                           "0,4,main,entry,8,5\n1,64,3,{},%x\n"};
+  for (const std::string& tmpl : fields) {
+    for (const std::string& s : spellings) {
+      std::string text = tmpl;
+      text.replace(text.find("{}"), 2, s);
+      const std::string fast = parse_outcome([&] {
+        const TraceBuffer buf = read_trace_buffer(text);
+        if (buf.size() != 1) throw std::runtime_error("expected one record");
+        return buf.materialize(0);
+      });
+      const std::string reference = parse_outcome([&] {
+        const std::vector<TraceRecord> recs = read_trace_text(text);
+        if (recs.size() != 1) throw std::runtime_error("expected one record");
+        return recs[0];
+      });
+      EXPECT_EQ(fast, reference) << "trace: " << text;
+    }
+  }
 }
 
 /// The round-trip property across the whole suite: parse with the legacy
