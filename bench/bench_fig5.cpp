@@ -54,17 +54,19 @@ int main() {
   const ir::Module module = minic::compile(kFig4);
   const analysis::MclRegion region = analysis::find_mcl_region(kFig4);
 
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
   const vm::RunResult rr = vm::run_module(module, ropts);
+  const trace::TraceBuffer& buf = sink.buffer();
 
   std::printf("=== Fig. 4 example code executed: output=%s(%llu dynamic instructions)\n\n",
               rr.output.c_str(), static_cast<unsigned long long>(rr.steps));
 
   std::printf("--- Fig. 1-style trace blocks (first Load and first Mul inside foo) ---\n");
   int shown_load = 0, shown_mul = 0, shown_call1 = 0, shown_call2 = 0, shown_alloca = 0;
-  for (const auto& rec : sink.records()) {
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    const trace::TraceRecord rec = buf.materialize(i);
     if (rec.func == "foo" && rec.opcode == trace::Opcode::Load && shown_load++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
@@ -73,7 +75,8 @@ int main() {
     }
   }
   std::printf("\n--- Fig. 6-style records: Call form 2 (foo), Alloca (sum), Call form 1 (print) ---\n");
-  for (const auto& rec : sink.records()) {
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    const trace::TraceRecord rec = buf.materialize(i);
     if (rec.opcode == trace::Opcode::Call && rec.is_call_with_body() && shown_call2++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
@@ -86,8 +89,7 @@ int main() {
     }
   }
 
-  const analysis::Report report =
-      analysis::Session().records(sink.records()).region(region).run();
+  const analysis::Report report = analysis::Session().buffer(sink.take()).region(region).run();
 
   std::printf("\n--- MLI variables (pre-processing, Fig. 3) ---\n  ");
   for (const auto& m : report.pre.mli) std::printf("%s ", m.name.c_str());

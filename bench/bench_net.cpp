@@ -43,11 +43,11 @@ Workload make_workload(const std::string& app_name) {
   const apps::App& app = apps::find_app(app_name);
   Workload w;
   const ir::Module module = minic::compile(app.source());
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
   vm::run_module(module, ropts);
-  for (const auto& rec : sink.records()) w.trace.append(rec);
+  w.trace = sink.take();
   w.region = app.mcl();
   trace::TraceBuffer copy;
   copy.append_buffer(w.trace);

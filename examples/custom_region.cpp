@@ -9,6 +9,7 @@
 
 #include "analysis/session.hpp"
 #include "minic/compiler.hpp"
+#include "trace/source.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
 
@@ -42,20 +43,20 @@ int main() {
       "}\n";                                                    // 23
 
   const ac::ir::Module module = ac::minic::compile(source);
-  ac::trace::MemorySink trace;
+  ac::trace::BufferSink trace;
   ac::vm::RunOptions opts;
   opts.sink = &trace;
   ac::vm::run_module(module, opts);
 
-  // One MemorySource (borrowed, zero-copy) serves both region analyses; each
-  // run() is an independent Session over the same trace.
+  // One shared MemorySource holds the interned trace and serves both region
+  // analyses; each run() is an independent Session over the same buffer.
+  const auto memory = std::make_shared<ac::trace::MemorySource>(trace.take());
   auto analyze = [&](const char* label, int begin, int end) {
     ac::analysis::MclRegion region;
     region.function = "main";
     region.begin_line = begin;
     region.end_line = end;
-    const auto report =
-        ac::analysis::Session().records(trace.records()).region(region).run();
+    const auto report = ac::analysis::Session().source(memory).region(region).run();
     std::printf("=== %s (lines %d-%d) ===\n", label, begin, end);
     std::printf("%s\n", report.render().c_str());
   };

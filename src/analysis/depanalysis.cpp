@@ -439,11 +439,4 @@ DepResult dep_analysis(const TraceBuffer& buf, PreprocessResult& pre, const MclR
   return impl.finish();
 }
 
-DepResult dep_analysis(const std::vector<TraceRecord>& records, PreprocessResult& pre,
-                       const MclRegion& region, const DepOptions& opts) {
-  DepAnalyzer analyzer(pre, region, opts);
-  for (const TraceRecord& rec : records) analyzer.add(rec);
-  return analyzer.finish();
-}
-
 }  // namespace ac::analysis

@@ -11,9 +11,10 @@
 // The replay runs natively on the interned packed representation: register
 // provenance and the reg-reg map are keyed by SymbolPool ids (integer hashes,
 // no string traffic), and DDG nodes are resolved through id-keyed caches that
-// produce exactly the legacy labels. One implementation serves the batch path
-// (a TraceBuffer replay) and the streaming path (TraceRecords packed one at a
-// time), so batch and streaming results are identical by construction.
+// produce the variable/register labels. One implementation serves the batch
+// path (a TraceBuffer replay) and the streaming path (the VM's TraceRecords
+// packed one at a time), so batch and streaming results are identical by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -55,19 +56,16 @@ struct DepResult {
   std::uint64_t pointer_assignments = 0;
 };
 
-/// Batch replay over the interned buffer (the fast path).
+/// Batch replay over the interned buffer.
 /// `pre.vars` is extended in place (callee locals may first appear here).
 DepResult dep_analysis(const trace::TraceBuffer& buf, PreprocessResult& pre,
                        const MclRegion& region, const DepOptions& opts = {});
 
-/// Legacy batch entry point over owning records (wraps the streaming class).
-DepResult dep_analysis(const std::vector<trace::TraceRecord>& records, PreprocessResult& pre,
-                       const MclRegion& region, const DepOptions& opts = {});
-
 /// Incremental dependency analysis: feed records one at a time (second pass
 /// of the streaming pipeline; requires a finished PreprocessResult so the
-/// loop partition is known). dep_analysis() wraps this class, so batch and
-/// streaming results are identical by construction.
+/// loop partition is known). dep_analysis() replays through the same
+/// implementation, so batch and streaming results are identical by
+/// construction.
 class DepAnalyzer {
  public:
   DepAnalyzer(PreprocessResult& pre, const MclRegion& region, const DepOptions& opts = {});

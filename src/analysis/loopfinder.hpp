@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "trace/buffer.hpp"
-#include "trace/record.hpp"
 
 namespace ac::analysis {
 
@@ -29,10 +28,6 @@ struct LoopCandidate {
 };
 
 /// Rank loop candidates, heaviest first. `top_n` == 0 returns all.
-std::vector<LoopCandidate> suggest_loops(const std::vector<trace::TraceRecord>& records,
-                                         std::size_t top_n = 5);
-
-/// Same scan over the interned buffer (no TraceRecord materialization).
 std::vector<LoopCandidate> suggest_loops(const trace::TraceBuffer& buf, std::size_t top_n = 5);
 
 /// Render a human-readable suggestion list (used by `autocheck --suggest`).

@@ -15,34 +15,17 @@ using trace::SymbolPool;
 using trace::TraceBuffer;
 using trace::TraceRecord;
 
-Partition partition_trace(const std::vector<TraceRecord>& records, const MclRegion& region) {
-  Partition part;
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(records.size()); ++i) {
-    const TraceRecord& r = records[static_cast<std::size_t>(i)];
-    // Alloca records are hoisted to function entry by the compiler; their
-    // line is the declaration point, not an executed loop statement (cf. the
-    // paper's Fig. 6(c), where LLVM-Tracer reports line -1 for Alloca).
-    if (r.opcode == Opcode::Alloca) continue;
-    if (r.func == region.function && region.contains(r.line)) {
-      if (part.first_b < 0) part.first_b = i;
-      part.last_b = i;
-    }
-  }
-  if (!part.has_loop()) {
-    throw AnalysisError("main computation loop region never executes "
-                        "(wrong function name or line range?)");
-  }
-  return part;
-}
-
 Partition partition_trace(const TraceBuffer& buf, const MclRegion& region) {
   Partition part;
   const std::uint32_t region_func = buf.pool().lookup(region.function);
   const auto& records = buf.records();
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(records.size()); ++i) {
     const PackedRecord& r = records[static_cast<std::size_t>(i)];
+    // Alloca records are hoisted to function entry by the compiler; their
+    // line is the declaration point, not an executed loop statement (cf. the
+    // paper's Fig. 6(c), where LLVM-Tracer reports line -1 for Alloca).
     if (r.opcode == Opcode::Alloca) continue;
-    // Id equality matches the legacy string equality (npos == empty string).
+    // Id equality matches string equality (npos == empty string).
     if (r.func == region_func && region.contains(r.line)) {
       if (part.first_b < 0) part.first_b = i;
       part.last_b = i;
@@ -273,13 +256,6 @@ PreprocessResult preprocess(const TraceBuffer& buf, const MclRegion& region, Mli
   const PackedOperand* ops = buf.operands().data();
   for (const PackedRecord& rec : records) impl.add_packed(rec, ops + rec.op_offset);
   return impl.finish();
-}
-
-PreprocessResult preprocess(const std::vector<TraceRecord>& records, const MclRegion& region,
-                            MliMode mode) {
-  MliCollector collector(region, mode);
-  for (const TraceRecord& rec : records) collector.add(rec);
-  return collector.finish();
 }
 
 }  // namespace ac::analysis

@@ -3,7 +3,7 @@
 //
 // The scan runs natively on the interned packed representation
 // (trace/buffer.hpp): one implementation serves the batch path (a replay of a
-// TraceBuffer, zero per-record conversion) and the streaming path (legacy
+// TraceBuffer, zero per-record conversion) and the streaming path (the VM's
 // TraceRecords packed one at a time into a scratch buffer) — so batch and
 // streaming results are identical by construction.
 #pragma once
@@ -37,7 +37,6 @@ struct Partition {
 
 /// Locate the loop: the first/last records executed at the host function's
 /// MCL source lines. Throws ac::AnalysisError when the region never executes.
-Partition partition_trace(const std::vector<trace::TraceRecord>& records, const MclRegion& region);
 Partition partition_trace(const trace::TraceBuffer& buf, const MclRegion& region);
 
 enum class MliMode {
@@ -69,13 +68,9 @@ struct PreprocessResult {
   std::uint64_t records_scanned = 0;
 };
 
-/// Batch pre-processing over the interned buffer (the fast path).
+/// Batch pre-processing over the interned buffer.
 PreprocessResult preprocess(const trace::TraceBuffer& buf, const MclRegion& region,
                             MliMode mode = MliMode::AddressResolved);
-
-/// Legacy batch entry point over owning records (wraps the streaming class).
-PreprocessResult preprocess(const std::vector<trace::TraceRecord>& records,
-                            const MclRegion& region, MliMode mode = MliMode::AddressResolved);
 
 /// Incremental pre-processing: feed records one at a time (e.g. directly from
 /// an instrumented execution, the paper's stated future work) and call

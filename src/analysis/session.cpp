@@ -109,14 +109,6 @@ Session& Session::buffer(trace::TraceBuffer&& buf) {
   return source(std::make_shared<trace::MemorySource>(std::move(buf)));
 }
 
-Session& Session::records(const std::vector<trace::TraceRecord>& recs) {
-  return source(std::make_shared<trace::MemorySource>(recs));
-}
-
-Session& Session::records(std::vector<trace::TraceRecord>&& recs) {
-  return source(std::make_shared<trace::MemorySource>(std::move(recs)));
-}
-
 Session& Session::live(trace::LiveSource::Generator gen) {
   return source(std::make_shared<trace::LiveSource>(std::move(gen)));
 }
@@ -152,10 +144,10 @@ Report Session::run() {
   AC_SPAN("analysis.session");
   source_->set_read_threads(opts_.threads);
 
-  Report report = source_->live() ? run_live() : run_batch();
+  auto* live = dynamic_cast<trace::LiveSource*>(source_.get());
+  Report report = live ? run_live(*live) : run_batch();
 
-  const SessionContext ctx{region_, source_->live() ? nullptr : &source_->buffer(),
-                           source_->describe()};
+  const SessionContext ctx{region_, live ? nullptr : &source_->buffer(), source_->describe()};
   for (const auto& s : sinks_) s->consume(report, ctx);
   return report;
 }
@@ -193,14 +185,14 @@ Report Session::run_batch() {
   return report;
 }
 
-Report Session::run_live() {
+Report Session::run_live(trace::LiveSource& live) {
   // Timing attribution is whole-pass, measured by the SessionStream itself:
   // preprocessing = pass 1 (execution + MLI), dep_analysis = pass 2,
   // identify = classification.
   SessionStream stream(region_, opts_);
-  source_->for_each([&](const trace::TraceRecord& rec) { stream.pass1_add(rec); });
+  live.for_each([&](const trace::TraceRecord& rec) { stream.pass1_add(rec); });
   stream.finish_pass1();
-  source_->for_each([&](const trace::TraceRecord& rec) { stream.pass2_add(rec); });
+  live.for_each([&](const trace::TraceRecord& rec) { stream.pass2_add(rec); });
   return stream.finish();
 }
 

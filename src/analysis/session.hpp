@@ -166,13 +166,10 @@ class Session {
   Session& source(std::shared_ptr<trace::TraceSource> src);
   /// Trace file (serial or parallel zero-copy mmap parse, per options().threads).
   Session& file(const std::string& path);
-  /// An interned trace buffer (zero-copy; e.g. from trace::BufferSink).
+  /// An interned trace buffer (zero-copy; e.g. from trace::BufferSink). To
+  /// analyze one trace several times, share a trace::MemorySource via
+  /// source() instead.
   Session& buffer(trace::TraceBuffer&& buf);
-  /// Borrowed legacy in-memory records (caller keeps them alive across run();
-  /// interned into a buffer on first use).
-  Session& records(const std::vector<trace::TraceRecord>& recs);
-  /// Owned legacy in-memory records (interned immediately).
-  Session& records(std::vector<trace::TraceRecord>&& recs);
   /// Live instrumented execution; the generator is run once per pass.
   Session& live(trace::LiveSource::Generator gen);
 
@@ -188,9 +185,10 @@ class Session {
   const AnalysisOptions& analysis_options() const { return opts_; }
 
   /// Run the pipeline: read -> preprocess/MLI -> dependency analysis ->
-  /// classification -> sinks. Live sources run the two-pass
-  /// streaming pipeline; batch sources the single-pass one. Throws ac::Error
-  /// when no source is set or the region is invalid.
+  /// classification -> sinks. A trace::LiveSource runs the two-pass
+  /// streaming pipeline; every other source the single-pass one over its
+  /// buffer(). Throws ac::Error when no source is set or the region is
+  /// invalid.
   Report run();
 
  private:
@@ -200,7 +198,7 @@ class Session {
   std::vector<std::shared_ptr<ReportSink>> sinks_;
 
   Report run_batch();
-  Report run_live();
+  Report run_live(trace::LiveSource& live);
 };
 
 /// Push-based incremental session: trace-file-free AutoCheck, the paper's

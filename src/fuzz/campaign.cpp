@@ -289,13 +289,9 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
   if (!e.fault.empty()) fault::arm_from_spec(e.fault);
   try {
     if (e.kind == "mctb") {
-      // Streaming mode: mutation campaigns exercise the same decode path the
-      // FileSource default takes (error identity with buffered is pinned in
-      // test_mctb.cpp, so findings transfer both ways).
-      trace::MctbReadOptions ropts;
-      ropts.num_threads = 1;
-      ropts.streaming = true;
-      const trace::TraceBuffer decoded = trace::read_mctb(bytes, ropts);
+      // Serial decode: error identity across thread counts is pinned in
+      // test_mctb.cpp, so findings transfer to the threaded FileSource read.
+      const trace::TraceBuffer decoded = trace::read_mctb(bytes, 1);
       if (trace::mctb_to_bytes(decoded, canonical_mctb_options(decoded.size())) ==
           ctx.canonical_mctb) {
         return kExitBenign;
@@ -317,10 +313,7 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
     while (auto f = reader.next()) {
       f->verify_crc();
       if (f->type == net::FrameType::TraceChunk) {
-        trace::MctbReadOptions ropts;
-        ropts.num_threads = 1;
-        ropts.streaming = true;
-        const trace::TraceBuffer decoded = trace::read_mctb(f->payload, ropts);
+        const trace::TraceBuffer decoded = trace::read_mctb(f->payload, 1);
         if (trace::mctb_to_bytes(decoded, canonical_mctb_options(decoded.size())) !=
             ctx.canonical_mctb) {
           say(fd, "TraceChunk decoded to a non-canonical trace");

@@ -154,14 +154,10 @@ void RemoteSource::merge_chunk(const Frame& frame) {
   // ids, opcodes, symbol ids, flags — so a malformed chunk throws a clean
   // TraceFormatError before a single record lands in the buffer. Each frame
   // holds one extraction chunk; serial decode is the parallelism-free granule
-  // (connections are the concurrency axis server-side). Streaming mode keeps
-  // the decode scratch warm on this thread across the connection's frames.
-  trace::MctbReadOptions mopts;
-  mopts.num_threads = 1;
-  mopts.streaming = true;
-  const trace::TraceBuffer decoded = trace::read_mctb(frame.payload, mopts);
+  // (connections are the concurrency axis server-side), and it keeps the
+  // decode scratch warm on this thread across the connection's frames.
+  const trace::TraceBuffer decoded = trace::read_mctb(frame.payload, 1);
   buffer_.append_buffer(decoded);
-  materialized_valid_ = false;  // the records() shim cache is stale now
   decode_seconds_ += timer.seconds();
   ++chunks_merged_;
   payload_bytes_ += frame.payload.size();

@@ -117,11 +117,4 @@ void TraceBuffer::append_remapped(const TraceBuffer& other,
   }
 }
 
-std::vector<TraceRecord> TraceBuffer::materialize_all() const {
-  std::vector<TraceRecord> out;
-  out.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) out.push_back(materialize(i));
-  return out;
-}
-
 }  // namespace ac::trace

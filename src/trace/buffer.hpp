@@ -12,8 +12,8 @@
 //
 // — so a parsed trace is a handful of large allocations, replay is a linear
 // scan, and name equality is an integer compare. RecordView is the zero-cost
-// cursor the analysis consumes; materialize() is the compatibility shim back
-// to TraceRecord (to_text() and the legacy public API are byte-identical).
+// cursor the analysis consumes; materialize() rebuilds an owning TraceRecord
+// for callers that print or inspect one (to_text() is byte-identical).
 #pragma once
 
 #include <bit>
@@ -185,7 +185,7 @@ class TraceBuffer {
     operands_.reserve(operands);
   }
 
-  /// Intern + append one legacy record.
+  /// Intern + append one emitted record (BufferSink, parsers).
   void append(const TraceRecord& rec) { pack_record(rec, pool_, records_, operands_); }
 
   /// Bulk-append `other`'s records, remapping its pool ids into this pool
@@ -198,9 +198,8 @@ class TraceBuffer {
   /// may run concurrently from workers; the array concatenation happens here).
   void append_remapped(const TraceBuffer& other, const std::vector<std::uint32_t>& remap);
 
-  /// Compatibility shims.
+  /// Rebuild one owning TraceRecord (for printing or test inspection).
   TraceRecord materialize(std::size_t i) const { return view(i).materialize(); }
-  std::vector<TraceRecord> materialize_all() const;
 
   /// Resident footprint of the representation (arrays + arena), for the
   /// memory-accounting columns of bench_micro.

@@ -197,12 +197,10 @@ std::string encode_operand_chunk(const PackedOperand* ops, std::size_t n, std::s
 
 // --- column decoders --------------------------------------------------------
 
-/// Per-worker decode scratch: every heap buffer a chunk decode touches. In
-/// streaming mode one instance lives per worker and is reused across all the
-/// chunks that worker claims, so a million-chunk decode performs a handful of
-/// warm-up allocations instead of ~10 per chunk; buffered mode constructs a
-/// fresh one per chunk (the pre-streaming allocation profile, kept honest for
-/// the bench A/B). Decoded bytes are identical either way.
+/// Per-worker decode scratch: every heap buffer a chunk decode touches. One
+/// instance lives per worker and is reused across all the chunks that worker
+/// claims, so a million-chunk decode performs a handful of warm-up
+/// allocations instead of ~10 per chunk.
 struct DecodeScratch {
   std::string rec_raw, op_raw, chain;
   std::vector<std::uint64_t> u64col;
@@ -574,15 +572,6 @@ std::uint64_t write_mctb_file(const TraceBuffer& buf, const std::string& path,
 }
 
 TraceBuffer read_mctb(std::string_view bytes, int num_threads, const ParseProgress& progress) {
-  MctbReadOptions opts;
-  opts.num_threads = num_threads;
-  opts.streaming = false;
-  opts.progress = progress;
-  return read_mctb(bytes, opts);
-}
-
-TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
-  const ParseProgress& progress = opts.progress;
   Cursor cur{bytes, 0};
   if (bytes.size() < kHeaderSize) throw TraceFormatError("truncated MCTB header");
   if (cur.u32() != kMagic) throw TraceFormatError("not an MCTB container (bad magic)");
@@ -739,37 +728,25 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
   // so a corrupt chunk raises the exact error the serial decode would. The
   // ordered on_ready consumer replaces the old progress mutex.
   ExecutorOptions eopts;
-  eopts.threads = opts.num_threads;
+  eopts.threads = num_threads;
   const auto on_ready = [&](std::size_t c) {
     if (progress) {
       progress(static_cast<std::size_t>(rec_secs[c].payload_off),
                static_cast<std::size_t>(op_secs[c].payload_off + op_secs[c].payload_size));
     }
   };
-  if (opts.streaming) {
-    // One scratch arena per worker thread, reused across every chunk that
-    // worker claims (executor workers are fresh threads per call, so the
-    // arena's lifetime is this decode; on the calling thread it persists and
-    // warms the next serial decode).
-    run_chunks(
-        chunk_count, eopts,
-        [&](std::size_t c) {
-          AC_FAULT("mctb.stream.decode_slot");
-          thread_local DecodeScratch ds;
-          decode_chunk(static_cast<std::uint32_t>(c), ds);
-        },
-        on_ready);
-  } else {
-    // Buffered mode: fresh per-chunk temporaries — the pre-streaming
-    // allocation profile, kept for the bench A/B and in-memory callers.
-    run_chunks(
-        chunk_count, eopts,
-        [&](std::size_t c) {
-          DecodeScratch ds;
-          decode_chunk(static_cast<std::uint32_t>(c), ds);
-        },
-        on_ready);
-  }
+  // One scratch arena per worker thread, reused across every chunk that
+  // worker claims (executor workers are fresh threads per call, so the
+  // arena's lifetime is this decode; on the calling thread it persists and
+  // warms the next serial decode).
+  run_chunks(
+      chunk_count, eopts,
+      [&](std::size_t c) {
+        AC_FAULT("mctb.stream.decode_slot");
+        thread_local DecodeScratch ds;
+        decode_chunk(static_cast<std::uint32_t>(c), ds);
+      },
+      on_ready);
   return buf;
 }
 

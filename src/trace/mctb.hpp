@@ -37,11 +37,11 @@
 // through a batched sink, and patches the table in place once payload sizes
 // are known — peak encode memory is one chunk plus codec scratch, never the
 // whole container, and the emitted bytes are identical for every sink. The
-// reader's streaming mode (the FileSource default) decodes chunks into the
-// preallocated TraceBuffer slots through per-worker scratch arenas that are
-// reused across every chunk a worker claims, and reports consumed payload
-// ranges through ParseProgress so mmap'd input pages can be released behind
-// the in-order frontier, exactly like the text path.
+// reader decodes chunks into the preallocated TraceBuffer slots through
+// per-worker scratch arenas that are reused across every chunk a worker
+// claims, and reports consumed payload ranges through ParseProgress so mmap'd
+// input pages can be released behind the in-order frontier, exactly like the
+// text path.
 //
 // The same section framing, prefixed with the "MCTA" magic, carries the
 // checkpoint engine's L3 packed archive (see mctb_frame below): one
@@ -90,32 +90,16 @@ void mctb_encode_into(const TraceBuffer& buf, const MctbOptions& opts, std::stri
 std::uint64_t write_mctb_file(const TraceBuffer& buf, const std::string& path,
                               const MctbOptions& opts = {});
 
-/// Decode knobs for read_mctb.
-struct MctbReadOptions {
-  /// Worker count for chunk decode (0 = hardware default, <=1 = serial).
-  int num_threads = 0;
-  /// Streaming mode (the FileSource default): each worker reuses one scratch
-  /// arena (decoded-column buffers, codec ping-pong strings, predictor
-  /// table) across every chunk it claims instead of allocating per-chunk
-  /// temporaries. Decoded bytes and error messages are identical to the
-  /// buffered mode; only the allocation profile differs.
-  bool streaming = true;
-  /// Fires per consumed payload byte range, strictly in chunk order — the
-  /// madvise frontier for mmap-backed input.
-  ParseProgress progress;
-};
-
 /// Validate + decode an MCTB container. Chunks are decoded on `num_threads`
 /// workers (0 = hardware default, <=1 = serial) straight into their disjoint
-/// slots of the result arrays — no concat step. `progress` fires per decoded
-/// chunk with the consumed payload byte range. Throws ac::TraceFormatError
-/// on any malformed input. This overload is the buffered mode (fresh
-/// per-chunk decode temporaries); prefer the MctbReadOptions overload.
+/// slots of the result arrays — no concat step. Each worker reuses one
+/// scratch arena (decoded-column buffers, codec ping-pong strings, predictor
+/// table) across every chunk it claims. `progress` fires per consumed payload
+/// byte range, strictly in chunk order — the madvise frontier for mmap-backed
+/// input. Throws ac::TraceFormatError on any malformed input, with the same
+/// type and message at every thread count.
 TraceBuffer read_mctb(std::string_view bytes, int num_threads = 0,
                       const ParseProgress& progress = {});
-
-/// As above, with streaming scratch reuse selectable via MctbReadOptions.
-TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts);
 
 // --- MCTB record framing ----------------------------------------------------
 //

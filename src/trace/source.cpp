@@ -15,21 +15,6 @@
 
 namespace ac::trace {
 
-const std::vector<TraceRecord>& TraceSource::records() {
-  if (!materialized_valid_) {
-    materialized_ = buffer().materialize_all();
-    materialized_valid_ = true;
-  }
-  return materialized_;
-}
-
-void TraceSource::for_each(const std::function<void(const TraceRecord&)>& fn) {
-  // One materialized record at a time — a pass never holds the whole legacy
-  // representation.
-  const TraceBuffer& buf = buffer();
-  for (std::size_t i = 0; i < buf.size(); ++i) fn(buf.materialize(i));
-}
-
 namespace {
 
 /// Read-only mmap of a whole file; falls back to a heap copy when mapping is
@@ -101,15 +86,10 @@ const TraceBuffer& FileSource::buffer() {
     consumed.set_max(static_cast<std::int64_t>(end));
   };
   if (is_mctb(file.view())) {
-    // Binary container: a validated chunked read instead of text decoding.
-    // Streaming mode is the file-backed default — per-worker scratch arenas
-    // instead of per-chunk temporaries, with consumed payload pages released
-    // behind the in-order frontier exactly like the text path.
-    MctbReadOptions mopts;
-    mopts.num_threads = read_threads_ > 1 ? read_threads_ : 1;
-    mopts.streaming = true;
-    mopts.progress = release;
-    buffer_ = read_mctb(file.view(), mopts);
+    // Binary container: a validated chunked read instead of text decoding,
+    // with consumed payload pages released behind the in-order frontier
+    // exactly like the text path.
+    buffer_ = read_mctb(file.view(), read_threads_ > 1 ? read_threads_ : 1, release);
     format_ = "mctb";
   } else {
     buffer_ = read_threads_ > 1 ? read_trace_buffer_parallel(file.view(), read_threads_, release)
@@ -121,46 +101,7 @@ const TraceBuffer& FileSource::buffer() {
   return buffer_;
 }
 
-namespace {
-
-void intern_records(const std::vector<TraceRecord>& records, TraceBuffer& buf) {
-  std::size_t operand_total = 0;
-  for (const TraceRecord& rec : records) operand_total += rec.operands.size();
-  buf.reserve(records.size(), operand_total);
-  for (const TraceRecord& rec : records) buf.append(rec);
-}
-
-}  // namespace
-
-MemorySource::MemorySource(std::vector<TraceRecord>&& records) {
-  // Owned legacy records: intern them immediately and drop the per-record
-  // heap representation — callers handing over ownership want the compact
-  // form, not a second copy.
-  intern_records(records, buffer_);
-  loaded_ = true;
-  records.clear();
-}
-
-const TraceBuffer& MemorySource::buffer() {
-  if (!loaded_) {
-    intern_records(*borrowed_, buffer_);
-    loaded_ = true;
-  }
-  return buffer_;
-}
-
-const std::vector<TraceRecord>& MemorySource::records() {
-  // Borrowed records stay zero-copy; otherwise fall back to the shim cache.
-  if (borrowed_) return *borrowed_;
-  return TraceSource::records();
-}
-
 const TraceBuffer& LiveSource::buffer() {
-  throw Error("LiveSource: a live trace stream cannot be materialized; "
-              "use for_each() (the Session runs its two-pass pipeline)");
-}
-
-const std::vector<TraceRecord>& LiveSource::records() {
   throw Error("LiveSource: a live trace stream cannot be materialized; "
               "use for_each() (the Session runs its two-pass pipeline)");
 }

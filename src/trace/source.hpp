@@ -3,21 +3,19 @@
 // The polymorphic counterpart of trace/writer.hpp's TraceSink family: a
 // TraceSource abstracts over the three ways a trace reaches the analysis —
 // a trace file on disk (the paper's workflow, with the §V-A parallel read),
-// records already materialized in memory, and a live instrumented execution
+// an interned buffer already in memory, and a live instrumented execution
 // that re-produces the stream on demand (the paper's §IX future work).
 // analysis::Session consumes any of them through this one interface.
 //
-// The native materialized form is the interned SoA TraceBuffer
-// (trace/buffer.hpp): buffer() is what the analysis pipeline replays.
-// records() remains as the legacy-compatibility shim — it materializes
-// owning TraceRecords from the buffer on first use and caches them; new
-// TraceSource implementations only have to produce a buffer.
+// The one materialized form is the interned SoA TraceBuffer
+// (trace/buffer.hpp): buffer() is what the analysis pipeline replays. A
+// LiveSource never materializes; Session drives its record passes through
+// LiveSource::for_each instead.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "trace/buffer.hpp"
 #include "trace/record.hpp"
@@ -32,10 +30,6 @@ class TraceSource {
   /// Human-readable origin, e.g. "file:/tmp/cg.trace", "memory", "live".
   virtual std::string describe() const = 0;
 
-  /// True when each pass re-produces records from an execution instead of
-  /// replaying memory; such sources cannot materialize the stream.
-  virtual bool live() const { return false; }
-
   /// Worker budget for materialization (FileSource parses in parallel when
   /// > 1); sources that never parse ignore it.
   virtual void set_read_threads(int) {}
@@ -45,15 +39,6 @@ class TraceSource {
   /// buffer. Throws ac::Error for live sources.
   virtual const TraceBuffer& buffer() = 0;
 
-  /// Legacy materialization: owning TraceRecords, rebuilt from buffer() and
-  /// cached. Throws ac::Error for live sources.
-  virtual const std::vector<TraceRecord>& records();
-
-  /// One ordered pass over the stream, callable repeatedly (passes are
-  /// identical). Batch sources replay buffer() record views materialized one
-  /// at a time; live sources re-execute.
-  virtual void for_each(const std::function<void(const TraceRecord&)>& fn);
-
   /// Seconds spent producing records in the most recent materialization or
   /// pass — attributed to the pre-processing phase, as the paper attributes
   /// trace parsing.
@@ -61,11 +46,6 @@ class TraceSource {
 
   /// Records produced by the most recent materialization or pass.
   virtual std::uint64_t record_count() const = 0;
-
- protected:
-  /// Shim cache behind records().
-  std::vector<TraceRecord> materialized_;
-  bool materialized_valid_ = false;
 };
 
 /// A trace file — the LLVM-Tracer text block format or the binary MCTB
@@ -101,48 +81,37 @@ class FileSource final : public TraceSource {
   TraceBuffer buffer_;
 };
 
-/// A stream already in memory: an interned TraceBuffer (zero-copy when
-/// moved in), or legacy TraceRecords — borrowed from the caller (who keeps
-/// them alive for the Session's duration) or owned — which are interned into
-/// a buffer on first use.
+/// An interned TraceBuffer already in memory (e.g. from a BufferSink), moved
+/// in zero-copy. Share one instance (std::shared_ptr) to run several Sessions
+/// over the same trace without copying it.
 class MemorySource final : public TraceSource {
  public:
-  /// Native: take ownership of an interned buffer.
-  explicit MemorySource(TraceBuffer&& buffer) : buffer_(std::move(buffer)), loaded_(true) {}
-  /// Borrow legacy records: the vector must outlive this source.
-  explicit MemorySource(const std::vector<TraceRecord>& records) : borrowed_(&records) {}
-  /// Own legacy records.
-  explicit MemorySource(std::vector<TraceRecord>&& records);
+  explicit MemorySource(TraceBuffer&& buffer) : buffer_(std::move(buffer)) {}
 
   std::string describe() const override { return "memory"; }
-  const TraceBuffer& buffer() override;
-  const std::vector<TraceRecord>& records() override;
-  std::uint64_t record_count() const override {
-    return borrowed_ ? borrowed_->size() : buffer_.size();
-  }
+  const TraceBuffer& buffer() override { return buffer_; }
+  std::uint64_t record_count() const override { return buffer_.size(); }
 
  private:
   TraceBuffer buffer_;
-  bool loaded_ = false;
-  const std::vector<TraceRecord>* borrowed_ = nullptr;
 };
 
 /// A live instrumented execution: the generator runs the program once,
 /// emitting every record into the provided sink. Each for_each() pass invokes
 /// the generator again — deterministic programs replay identically, so the
-/// two-pass streaming analysis never materializes the trace.
+/// two-pass streaming analysis never materializes the trace. Session runs its
+/// streaming pipeline whenever its source is a LiveSource.
 class LiveSource final : public TraceSource {
  public:
   using Generator = std::function<void(TraceSink&)>;
   explicit LiveSource(Generator gen) : gen_(std::move(gen)) {}
 
   std::string describe() const override { return "live"; }
-  bool live() const override { return true; }
   /// Throws ac::Error: a live stream is never materialized.
   const TraceBuffer& buffer() override;
-  /// Throws ac::Error: a live stream is never materialized.
-  const std::vector<TraceRecord>& records() override;
-  void for_each(const std::function<void(const TraceRecord&)>& fn) override;
+  /// One ordered pass: runs the generator, handing every record to `fn`.
+  /// Callable repeatedly; passes are identical.
+  void for_each(const std::function<void(const TraceRecord&)>& fn);
   double read_seconds() const override { return pass_seconds_; }
   std::uint64_t record_count() const override { return pass_records_; }
 

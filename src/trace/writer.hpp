@@ -1,6 +1,7 @@
 // Trace sinks. The VM emits TraceRecords through this interface; benchmarks
 // stream to a file (measuring trace size / generation time for Table II),
-// while tests and the fast analysis path keep records in memory.
+// the in-memory analysis interns them into a TraceBuffer (BufferSink), and
+// tests that inspect emitted records keep them as-is (MemorySink).
 #pragma once
 
 #include <cstdio>
@@ -47,7 +48,7 @@ class NullSink final : public TraceSink {
   std::uint64_t count_ = 0;
 };
 
-/// Collects records in memory; the zero-copy input for the analysis.
+/// Collects the emitted records as-is, for callers that inspect them.
 class MemorySink final : public TraceSink {
  public:
   void append(const TraceRecord& rec) override {

@@ -14,7 +14,10 @@ namespace ac::test {
 
 struct PipelineRun {
   ir::Module module;
+  /// The emitted records as-is, for SessionStream tests and record inspection.
   std::vector<trace::TraceRecord> records;
+  /// The same trace interned — the analysis input.
+  trace::TraceBuffer trace;
   vm::RunResult run;
   analysis::Report report;
 };
@@ -31,7 +34,12 @@ inline PipelineRun run_pipeline(const std::string& source,
   ropts.sink = &sink;
   out.run = vm::run_module(out.module, ropts);
   out.records = std::move(sink.records());
-  out.report = analysis::Session().records(out.records).region(region).options(opts).run();
+  for (const auto& rec : out.records) out.trace.append(rec);
+  out.report = analysis::Session()
+                   .buffer(trace::TraceBuffer(out.trace))
+                   .region(region)
+                   .options(opts)
+                   .run();
   return out;
 }
 

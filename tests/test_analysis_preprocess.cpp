@@ -22,27 +22,26 @@ TEST(Partition, SplitsAroundTheLoop) {
   ASSERT_TRUE(part.has_loop());
   EXPECT_GT(part.first_b, 0);
   EXPECT_GT(part.last_b, part.first_b);
-  EXPECT_LT(static_cast<std::size_t>(part.last_b), run.records.size() - 1);
+  EXPECT_LT(static_cast<std::size_t>(part.last_b), run.trace.size() - 1);
   EXPECT_EQ(part.part_of(0), Part::A);
   EXPECT_EQ(part.part_of(part.first_b), Part::B);
   EXPECT_EQ(part.part_of(part.last_b + 1), Part::C);
 }
 
 TEST(Partition, ThrowsWhenRegionNeverExecutes) {
-  auto records = [] {
-    auto run = run_pipeline(fig4_source());
-    return run.records;
-  }();
+  const auto run = run_pipeline(fig4_source());
   MclRegion region;
   region.function = "main";
   region.begin_line = 9000;
   region.end_line = 9010;
-  EXPECT_THROW(partition_trace(records, region), AnalysisError);
+  EXPECT_THROW(partition_trace(run.trace, region), AnalysisError);
+  EXPECT_THROW(preprocess(run.trace, region), AnalysisError);
 
   region.begin_line = 18;
   region.end_line = 26;
   region.function = "no_such_function";
-  EXPECT_THROW(partition_trace(records, region), AnalysisError);
+  EXPECT_THROW(partition_trace(run.trace, region), AnalysisError);
+  EXPECT_THROW(preprocess(run.trace, region), AnalysisError);
 }
 
 TEST(Mli, Fig4MatchesPaper) {

@@ -307,9 +307,8 @@ TEST(MctbMalformed, ParallelDecodeRejectsToo) {
 
 /// The executor's exception_ptr propagation (lowest failing chunk wins) makes
 /// the parallel decode raise the *byte-identical* error the serial decode
-/// raises — type and message — for every corruption in the matrix above, and
-/// the streaming mode (reused scratch arenas) must match the buffered
-/// baseline across the same thread counts.
+/// raises — type and message — for every corruption in the matrix above, with
+/// the per-worker scratch arenas reused across chunks at every thread count.
 void expect_error_identity(const std::string& img, const char* label) {
   std::string serial_what;
   try {
@@ -318,22 +317,14 @@ void expect_error_identity(const std::string& img, const char* label) {
   } catch (const TraceFormatError& e) {
     serial_what = e.what();
   }
-  for (const bool streaming : {false, true}) {
-    for (const int threads : {1, 2, 4}) {
-      if (!streaming && threads == 1) continue;  // the baseline above
-      MctbReadOptions opts;
-      opts.num_threads = threads;
-      opts.streaming = streaming;
-      const char* mode = streaming ? "streaming" : "buffered";
-      try {
-        read_mctb(img, opts);
-        FAIL() << label << ": " << mode << " decode accepted the corrupt container";
-      } catch (const TraceFormatError& e) {
-        EXPECT_STREQ(serial_what.c_str(), e.what())
-            << label << " " << mode << " threads=" << threads;
-      } catch (const std::exception& e) {
-        FAIL() << label << ": exception type erased to: " << e.what();
-      }
+  for (const int threads : {2, 4}) {
+    try {
+      read_mctb(img, threads);
+      FAIL() << label << ": decode accepted the corrupt container";
+    } catch (const TraceFormatError& e) {
+      EXPECT_STREQ(serial_what.c_str(), e.what()) << label << " threads=" << threads;
+    } catch (const std::exception& e) {
+      FAIL() << label << ": exception type erased to: " << e.what();
     }
   }
 }
@@ -489,10 +480,10 @@ TEST_P(MctbRoundTrip, TextRecodeReadByteIdentical) {
   EXPECT_EQ(sequential.all_mli, pipelined.all_mli);
 }
 
-/// The streaming writer and reader are byte-identical to the buffered paths
-/// on every mini-app: one encoder behind every sink (in-memory, reused
-/// buffer, file), and a decode whose only difference is the allocation
-/// profile — serial and threads 2/4.
+/// The streaming writer and reader are byte-identical on every mini-app: one
+/// encoder behind every sink (in-memory, reused buffer, file), and a decode
+/// that reproduces the text, the operands, the pool and the canonical bytes
+/// at serial and threads 2/4.
 TEST_P(MctbRoundTrip, StreamingEncodeDecodeByteIdentical) {
   const apps::App& app = apps::find_app(GetParam());
   trace::MemorySink sink;
@@ -530,17 +521,14 @@ TEST_P(MctbRoundTrip, StreamingEncodeDecodeByteIdentical) {
   EXPECT_EQ(file_bytes, img);
   std::remove(path.c_str());
 
-  // Decode identity: streaming mode at serial and threads 2/4 reproduces the
-  // buffered decode exactly (text, operands, symbol pool).
-  const TraceBuffer buffered = read_mctb(img, 1);
+  // Decode identity: threads 1/2/4 reproduce the serial decode (operands,
+  // symbol pool) and the source text.
+  const TraceBuffer serial = read_mctb(img, 1);
   for (const int threads : {1, 2, 4}) {
-    MctbReadOptions ropts2;
-    ropts2.num_threads = threads;
-    ropts2.streaming = true;
-    const TraceBuffer streamed = read_mctb(img, ropts2);
+    const TraceBuffer streamed = read_mctb(img, threads);
     EXPECT_EQ(buffer_text(streamed), text) << "threads=" << threads;
-    EXPECT_EQ(streamed.operands().size(), buffered.operands().size()) << threads;
-    EXPECT_EQ(streamed.pool().size(), buffered.pool().size()) << threads;
+    EXPECT_EQ(streamed.operands().size(), serial.operands().size()) << threads;
+    EXPECT_EQ(streamed.pool().size(), serial.pool().size()) << threads;
     // Canonical re-serialization equality pins every decoded column, not
     // just the text projection.
     EXPECT_EQ(mctb_to_bytes(streamed, opts), img) << "threads=" << threads;

@@ -41,16 +41,16 @@ TEST(SessionBuilder, RequiresSourceAndValidRegion) {
   EXPECT_THROW(Session().run(), Error);  // no source
 
   auto run = test::run_pipeline(test::fig4_source());
-  EXPECT_THROW(Session().records(run.records).run(), Error);  // no region
+  EXPECT_THROW(Session().buffer(trace::TraceBuffer(run.trace)).run(), Error);  // no region
 
   MclRegion inverted{"main", 20, 10};
-  EXPECT_THROW(Session().records(run.records).region(inverted).run(), Error);
+  EXPECT_THROW(Session().buffer(trace::TraceBuffer(run.trace)).region(inverted).run(), Error);
 }
 
 TEST(SessionBuilder, MarkersMatchExplicitRegion) {
   auto run = test::run_pipeline(test::fig4_source());
   const Report direct = Session()
-                            .records(run.records)
+                            .buffer(trace::TraceBuffer(run.trace))
                             .region_from_markers(test::fig4_source())
                             .run();
   EXPECT_EQ(test::critical_map(direct), test::critical_map(run.report));
@@ -63,7 +63,7 @@ TEST(SessionBuilder, MarkersMatchExplicitRegion) {
 /// A memory source that records the read budget the Session hands it.
 class ReadThreadsProbe final : public trace::TraceSource {
  public:
-  explicit ReadThreadsProbe(std::vector<trace::TraceRecord> recs) : inner_(std::move(recs)) {}
+  explicit ReadThreadsProbe(trace::TraceBuffer buf) : inner_(std::move(buf)) {}
   std::string describe() const override { return "probe"; }
   void set_read_threads(int n) override { read_threads = n; }
   const trace::TraceBuffer& buffer() override { return inner_.buffer(); }
@@ -78,7 +78,7 @@ class ReadThreadsProbe final : public trace::TraceSource {
 TEST(SessionOptions, ThreadsIsTheReadBudget) {
   auto run = test::run_pipeline(test::fig4_source());
   for (const int threads : {1, 4}) {
-    auto probe = std::make_shared<ReadThreadsProbe>(run.records);
+    auto probe = std::make_shared<ReadThreadsProbe>(run.trace);
     const Report report = Session()
                               .source(probe)
                               .region_from_markers(test::fig4_source())
@@ -303,7 +303,7 @@ TEST(SessionSources, FileSerialAndParallelMatchMemory) {
     for (const auto& rec : run.records) sink.append(rec);
   }
 
-  const Report from_memory = Session().records(run.records).region(region).run();
+  const Report from_memory = Session().buffer(trace::TraceBuffer(run.trace)).region(region).run();
   const Report serial_file = Session().file(path).region(region).run();
   const Report parallel_file =
       Session().file(path).region(region).options(with_threads(4)).run();
@@ -324,12 +324,11 @@ TEST(SessionSources, LiveSourceMatchesBatchAndNeverMaterializes) {
     ropts.sink = &sink;
     vm::run_module(run.module, ropts);
   });
-  EXPECT_TRUE(source->live());
-  EXPECT_THROW(source->records(), Error);
+  EXPECT_THROW(source->buffer(), Error);
 
   const Report live = Session().source(source).region_from_markers(src).run();
   EXPECT_EQ(live.verdicts.critical, run.report.verdicts.critical);
-  EXPECT_EQ(source->record_count(), run.records.size());
+  EXPECT_EQ(source->record_count(), run.trace.size());
   expect_timing_structure(live);
 }
 
@@ -346,7 +345,7 @@ TEST(SessionSinks, TextJsonDotProtectCapture) {
 
   std::string text, json, dot, protect;
   Session()
-      .records(run.records)
+      .buffer(trace::TraceBuffer(run.trace))
       .region_from_markers(src)
       .sink(std::make_shared<TextSink>(&text))
       .sink(std::make_shared<JsonSink>(&json))
@@ -388,7 +387,7 @@ TEST(SessionSinks, JsonRoundTripMatchesDirectEngineRegistration) {
 
   std::string json;
   Session()
-      .records(run.records)
+      .buffer(trace::TraceBuffer(run.trace))
       .region_from_markers(src)
       .sink(std::make_shared<EngineSink>(direct))
       .sink(std::make_shared<JsonSink>(&json))

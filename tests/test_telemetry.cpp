@@ -251,7 +251,8 @@ TEST(TelemetryPipeline, DepCountersSumTheReplayResults) {
   // One batch replay and one streaming replay of the same records: the
   // counters are bulk-added once per replay, so they must sum both results.
   metrics().reset();
-  const analysis::Report batch = analysis::Session().records(run.records).region(region).run();
+  const analysis::Report batch =
+      analysis::Session().buffer(trace::TraceBuffer(run.trace)).region(region).run();
   analysis::SessionStream stream(region, {});
   for (const auto& r : run.records) stream.pass1_add(r);
   stream.finish_pass1();

@@ -1,7 +1,11 @@
 // Robustness: randomly mutated trace text must never crash the parser or the
 // analysis — every malformed input surfaces as a TraceFormatError (or parses
-// into records that the analysis handles/reports cleanly).
+// into records that the analysis handles/reports cleanly). The test is
+// differential: the production parser (read_trace_buffer) and the reference
+// parser (read_trace_text) must agree on every mutant.
 #include <gtest/gtest.h>
+
+#include <typeinfo>
 
 #include "analysis/session.hpp"
 #include "support/error.hpp"
@@ -12,6 +16,28 @@
 
 namespace ac::trace {
 namespace {
+
+/// What one parser made of a mutant: the re-rendered text on success, or the
+/// dynamic exception type and message of the typed error it raised.
+struct ParseOutcome {
+  bool threw = false;
+  std::string error_type;
+  std::string what;
+  std::string text;
+};
+
+template <typename Parse>
+ParseOutcome outcome_of(Parse&& parse) {
+  ParseOutcome out;
+  try {
+    out.text = parse();
+  } catch (const ac::Error& e) {
+    out.threw = true;
+    out.error_type = typeid(e).name();
+    out.what = e.what();
+  }
+  return out;
+}
 
 class TraceFuzz : public testing::TestWithParam<std::uint64_t> {};
 
@@ -38,17 +64,33 @@ TEST_P(TraceFuzz, MutatedTraceNeverCrashes) {
     }
   }
 
+  TraceBuffer buf;
+  const ParseOutcome production = outcome_of([&] {
+    buf = read_trace_buffer(text);
+    std::string out;
+    for (std::size_t i = 0; i < buf.size(); ++i) out += buf.view(i).to_text();
+    return out;
+  });
+  const ParseOutcome reference = outcome_of([&] {
+    std::string out;
+    for (const auto& r : read_trace_text(text)) out += r.to_text();
+    return out;
+  });
+  ASSERT_EQ(production.threw, reference.threw)
+      << "production: " << production.what << " | reference: " << reference.what;
+  if (production.threw) {
+    EXPECT_EQ(production.error_type, reference.error_type);
+    EXPECT_EQ(production.what, reference.what);
+    return;
+  }
+  EXPECT_EQ(production.text, reference.text);
+
+  // If it still parses, the analysis must either succeed or throw a typed
+  // library error — never crash or hang.
   try {
-    const auto records = read_trace_text(text);
-    // If it still parses, the analysis must either succeed or throw a typed
-    // library error — never crash or hang.
-    try {
-      auto report = analysis::Session().records(records).region(region).run();
-      (void)report;
-    } catch (const ac::Error&) {
-    }
+    auto report = analysis::Session().buffer(std::move(buf)).region(region).run();
+    (void)report;
   } catch (const ac::Error&) {
-    // Typed parse error: exactly what malformed input should produce.
   }
 }
 
