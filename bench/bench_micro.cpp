@@ -15,10 +15,11 @@
 //           over the legacy path (measured in this same process, so the
 //           number is machine-independent) must stay within 25% of the
 //           checked-in baseline's. Also gates the MCTB decode (>= 2x the
-//           text parse; subprocess peak RSS of the mmap'd FileSource read
-//           <= 70% of a decode from a heap copy of the container on the
-//           probed app — skipped with a note when the container is too
-//           small for RSS to be signal), the SIMD
+//           text parse, each side the best of 5 samples of at least 25 ms;
+//           subprocess peak RSS of the mmap'd FileSource read <= 70% of a
+//           decode from a heap copy of the container, on the largest app's
+//           trace grown through App::scaled_params until its raw container
+//           crosses 64 MiB, where RSS is signal), the SIMD
 //           codec kernels against their forced-scalar references
 //           (shuffle/unshuffle >= 1.2x, zigzag >= 0.75x; skipped under
 //           AC_NO_SIMD=1 where dispatch is scalar), and bounds the
@@ -35,6 +36,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -101,6 +103,7 @@ struct AppBench {
   double mctb_parse_s = 0;        // container -> TraceBuffer, serial
   double mctb_parallel_parse_s = 0;  // same on 4 workers
   std::uint64_t mctb_raw_bytes = 0;  // raw-codec container (the RSS probe file)
+  int mctb_rss_scale = 0;            // App::scaled_params scale of that trace
   long rss_legacy_kb = 0;  // only probed on the largest app
   long rss_buffer_kb = 0;
   long rss_mctb_heap_kb = 0;       // decode from a heap copy of the container
@@ -160,6 +163,28 @@ int rss_probe_main(const std::string& mode, const std::string& path) {
   return 0;
 }
 
+/// Per-call seconds of `fn` for a ratio gate: each of 5 samples repeats `fn`
+/// until it lasts at least 25 ms (the repeat count is calibrated on one
+/// warm-up call), and the fastest sample wins — so a gate never compares
+/// one-shot millisecond samples that a busy runner can flap.
+template <class Fn>
+double gated_seconds(Fn&& fn) {
+  constexpr double kMinSampleSeconds = 0.025;
+  constexpr int kSamples = 5;
+  WallTimer warm;
+  fn();
+  const double once = std::max(warm.seconds(), 1e-9);
+  const int reps = std::max(1, static_cast<int>(std::ceil(kMinSampleSeconds / once)));
+  double best = 0;
+  for (int s = 0; s < kSamples; ++s) {
+    WallTimer t;
+    for (int r = 0; r < reps; ++r) fn();
+    const double per_call = t.seconds() / reps;
+    if (s == 0 || per_call < best) best = per_call;
+  }
+  return best;
+}
+
 bool verdicts_equal(const analysis::Report& a, const analysis::Report& b) {
   return a.verdicts.critical == b.verdicts.critical && a.verdicts.all_mli == b.verdicts.all_mli;
 }
@@ -182,9 +207,10 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
 
   // Small traces are measured best-of-3 so the CI regression gate compares
   // stable numbers, not one-shot millisecond samples on a noisy runner.
-  auto best_of_n = [](int n, auto&& fn) {
+  const int reps = text.size() < (8u << 20) ? 3 : 1;
+  auto best_of = [reps](auto&& fn) {
     double best = 0;
-    for (int r = 0; r < n; ++r) {
+    for (int r = 0; r < reps; ++r) {
       WallTimer t;
       fn();
       const double s = t.seconds();
@@ -192,8 +218,6 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
     }
     return best;
   };
-  const int reps = text.size() < (8u << 20) ? 3 : 1;
-  auto best_of = [&](auto&& fn) { return best_of_n(reps, fn); };
 
   // Parse: legacy owning records vs zero-copy interned buffer. The legacy
   // representation (~1 GiB on CoMD) is measured, analyzed and released before
@@ -219,8 +243,9 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
     });
   }
 
+  // Both sides of the MCTB-vs-text gate are timed by gated_seconds.
   trace::TraceBuffer buf;
-  out.buffer_parse_s = best_of([&] { buf = trace::read_trace_buffer(text); });
+  out.buffer_parse_s = gated_seconds([&] { buf = trace::read_trace_buffer(text); });
   out.buffer_bytes = buf.byte_size();
   out.records = buf.size();
   out.operands = buf.operands().size();
@@ -234,14 +259,8 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
   out.mctb_write_s = best_of([&] { mctb = trace::mctb_to_bytes(buf); });
   out.mctb_bytes = mctb.size();
   trace::TraceBuffer mctb_buf;
-  // The container is 14-60x smaller than the text, so a trace past the text
-  // best-of threshold can still decode in single-digit milliseconds; rep the
-  // decode timings on the container size so the gate does not compare
-  // one-shot samples.
-  const int decode_reps = mctb.size() < (8u << 20) ? 3 : 1;
-  out.mctb_parse_s = best_of_n(decode_reps, [&] { mctb_buf = trace::read_mctb(mctb, 1); });
-  out.mctb_parallel_parse_s =
-      best_of_n(decode_reps, [&] { mctb_buf = trace::read_mctb(mctb, 4); });
+  out.mctb_parse_s = gated_seconds([&] { mctb_buf = trace::read_mctb(mctb, 1); });
+  out.mctb_parallel_parse_s = gated_seconds([&] { mctb_buf = trace::read_mctb(mctb, 4); });
   if (mctb_buf.size() != buf.size() || mctb_buf.operands().size() != buf.operands().size()) {
     std::fprintf(stderr, "bench_micro: MCTB round-trip SIZE MISMATCH on %s\n", app.name.c_str());
     std::exit(1);
@@ -292,23 +311,47 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
       out.rss_buffer_kb = probe_rss("buffer", path);
       std::remove(path.c_str());
     }
-    // Decode-side MCTB probes use a raw-codec container (the documented
-    // fastest-parse configuration): under rle+lz the file is 10-60x smaller
-    // than the decoded arrays, so holding it in memory costs almost nothing
-    // and the probe would measure noise instead of the materialization tax.
-    const std::string mpath = "/tmp/ac_bench_micro_" + app.name + ".mctb";
-    try {
-      trace::MctbOptions raw_opts;
-      raw_opts.codec = CodecChain{};
-      out.mctb_raw_bytes = trace::write_mctb_file(buf, mpath, raw_opts);
-      out.rss_mctb_heap_kb = probe_rss("mctb-heap", mpath);
-      out.rss_mctb_streaming_kb = probe_rss("mctb-streaming", mpath);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_micro: mctb rss probe failed: %s\n", e.what());
-    }
-    std::remove(mpath.c_str());
   }
   return out;
+}
+
+/// Below this raw container size the probe child's fixed overhead (runtime,
+/// code, symbol pool) drowns the materialization tax and the RSS ratio is
+/// noise.
+constexpr std::uint64_t kRssSignalBytes = 64u << 20;
+
+/// Decode-side MCTB RSS probes on `app`'s trace, grown through
+/// App::scaled_params from `base` until its raw-codec container crosses
+/// kRssSignalBytes. Raw codec is the documented fastest-parse configuration:
+/// under rle+lz the file is 10-60x smaller than the decoded arrays, so holding
+/// it in memory costs almost nothing and the probe would measure noise
+/// instead of the materialization tax.
+void probe_streaming_rss(const apps::App& app, const apps::Params& base, AppBench& out) {
+  constexpr int kMaxScale = 32;
+  const std::string path = "/tmp/ac_bench_micro_" + app.name + ".mctb";
+  try {
+    trace::MctbOptions raw_opts;
+    raw_opts.codec = CodecChain{};
+    int scale = 1;
+    for (;;) {
+      trace::BufferSink sink;
+      vm::RunOptions ropts;
+      ropts.sink = &sink;
+      vm::run_module(minic::compile(app.source(app.scaled_params(base, scale))), ropts);
+      out.mctb_raw_bytes = trace::write_mctb_file(sink.buffer(), path, raw_opts);
+      out.mctb_rss_scale = scale;
+      if (out.mctb_raw_bytes >= kRssSignalBytes || scale >= kMaxScale) break;
+      // Containers grow about linearly with the scale; aim 10% past the floor.
+      const double want = 1.1 * static_cast<double>(kRssSignalBytes) * scale /
+                          static_cast<double>(std::max<std::uint64_t>(out.mctb_raw_bytes, 1));
+      scale = std::min(kMaxScale, std::max(scale + 1, static_cast<int>(std::ceil(want))));
+    }
+    out.rss_mctb_heap_kb = probe_rss("mctb-heap", path);
+    out.rss_mctb_streaming_kb = probe_rss("mctb-streaming", path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_micro: mctb rss probe failed: %s\n", e.what());
+  }
+  std::remove(path.c_str());
 }
 
 void app_json(JsonWriter& w, const AppBench& r) {
@@ -337,6 +380,7 @@ void app_json(JsonWriter& w, const AppBench& r) {
   w.field("peak_rss_legacy_kb", r.rss_legacy_kb);
   w.field("peak_rss_buffer_kb", r.rss_buffer_kb);
   w.field("mctb_raw_bytes", r.mctb_raw_bytes);
+  w.field("mctb_rss_scale", r.mctb_rss_scale);
   w.field("peak_rss_mctb_heap_kb", r.rss_mctb_heap_kb);
   w.field("peak_rss_mctb_streaming_kb", r.rss_mctb_streaming_kb);
   w.raw_field("wall_ns", strf("%.0f", (r.buffer_parse_s + r.buffer_analyze_s) * 1e9));
@@ -627,6 +671,7 @@ int main(int argc, char** argv) {
     if (!sweep) {
       results[largest] = bench_app(suite[largest].first, suite[largest].second,
                                    /*probe_largest=*/true);
+      probe_streaming_rss(suite[largest].first, suite[largest].second, results[largest]);
     }
 
     if (sweep) std::printf("--- scale %d ---\n", sc);
@@ -658,9 +703,9 @@ int main(int argc, char** argv) {
                   big.rss_buffer_kb ? (double)big.rss_legacy_kb / (double)big.rss_buffer_kb
                                     : 0.0);
       if (big.rss_mctb_heap_kb > 0) {
-        std::printf("MCTB decode of the same trace (raw-codec container, %s): "
+        std::printf("MCTB decode of the same app at scale %d (raw-codec container, %s): "
                     "from a heap copy %s, mmap'd FileSource %s (%.0f%% lower)\n",
-                    human_bytes(big.mctb_raw_bytes).c_str(),
+                    big.mctb_rss_scale, human_bytes(big.mctb_raw_bytes).c_str(),
                     human_bytes((std::uint64_t)big.rss_mctb_heap_kb * 1024).c_str(),
                     human_bytes((std::uint64_t)big.rss_mctb_streaming_kb * 1024).c_str(),
                     100.0 * (1.0 - (double)big.rss_mctb_streaming_kb /
@@ -744,11 +789,10 @@ int main(int argc, char** argv) {
     // claim — once the container is large enough for RSS to be signal.
     for (const auto& r : results) {
       if (r.rss_mctb_heap_kb <= 0) continue;  // not the probed app
-      if (r.mctb_raw_bytes < (64u << 20)) {
-        // Below this the probe child's fixed overhead (runtime, code, symbol
-        // pool) drowns the materialization tax and the ratio is noise.
-        std::printf("check %-8s mctb streaming rss skipped (container %s < 64 MiB)\n",
-                    r.app.c_str(), human_bytes(r.mctb_raw_bytes).c_str());
+      if (r.mctb_raw_bytes < kRssSignalBytes) {
+        std::printf("check %-8s mctb streaming rss skipped (container %s < 64 MiB at "
+                    "scale %d)\n",
+                    r.app.c_str(), human_bytes(r.mctb_raw_bytes).c_str(), r.mctb_rss_scale);
         continue;
       }
       const double ratio = (double)r.rss_mctb_streaming_kb / (double)r.rss_mctb_heap_kb;

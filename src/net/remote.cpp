@@ -92,6 +92,15 @@ Frame RemoteSink::expect(FrameType want) {
 
 void RemoteSink::append(const trace::TraceRecord& rec) {
   staging_.append(rec);
+  count_staged();
+}
+
+void RemoteSink::append(const trace::RecordView& view) {
+  staging_.append(view, remap_);
+  count_staged();
+}
+
+void RemoteSink::count_staged() {
   ++total_records_;
   if (staging_.size() >= opts_.chunk_records) send_staged_chunk();
 }

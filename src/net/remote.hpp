@@ -75,8 +75,9 @@ struct RemoteSinkOptions {
   int connect_backoff_ms = 100;
 };
 
-/// Streams TraceRecords to an acd daemon: records are interned into a staging
-/// TraceBuffer (the same packing every local sink uses) and shipped as a
+/// Streams records to an acd daemon: TraceRecords and the VM's RecordViews are
+/// interned into a staging TraceBuffer (the same packing every local sink
+/// uses; a view's ids are translated, never materialized) and shipped as a
 /// self-contained MCTB container per chunk_records. close() flushes the tail
 /// and says Goodbye. fetch_report()/fetch_metrics() are the request side of
 /// the connection; an Error frame from the daemon surfaces as ProtocolError
@@ -91,6 +92,7 @@ class RemoteSink final : public trace::TraceSink {
   RemoteSink& operator=(const RemoteSink&) = delete;
 
   void append(const trace::TraceRecord& rec) override;
+  void append(const trace::RecordView& view) override;
   std::uint64_t count() const override { return total_records_; }
   /// Wire bytes shipped so far (frame headers + encoded containers).
   std::uint64_t bytes() const override { return wire_bytes_; }
@@ -115,6 +117,7 @@ class RemoteSink final : public trace::TraceSink {
 
  private:
   void send_frame(FrameType type, std::string_view payload);
+  void count_staged();
   void send_staged_chunk();
   Frame expect(FrameType want);
 
@@ -122,6 +125,7 @@ class RemoteSink final : public trace::TraceSink {
   Socket sock_;
   FrameReader reader_;
   trace::TraceBuffer staging_;
+  trace::SymbolRemap remap_;  ///< view ids -> staging_ pool; resets with each chunk's pool
   std::string container_;  ///< reused per-chunk encode buffer (streaming writer target)
   Hello server_hello_;
   std::uint64_t total_records_ = 0;

@@ -33,6 +33,23 @@ void pack_record(const TraceRecord& r, SymbolPool& pool, std::vector<PackedRecor
   records.push_back(rec);
 }
 
+void TraceBuffer::append(const RecordView& view, SymbolRemap& remap) {
+  remap.bind(view.pool(), pool_);
+  PackedRecord rec = view.packed();
+  rec.func = remap.map(rec.func);
+  rec.bb = remap.map(rec.bb);
+  if (operands_.size() + rec.op_count > 0xffffffffull) {
+    throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
+  }
+  rec.op_offset = static_cast<std::uint32_t>(operands_.size());
+  for (const PackedOperand* op = view.operands_begin(); op != view.operands_end(); ++op) {
+    PackedOperand p = *op;
+    p.name = remap.map(p.name);
+    operands_.push_back(p);
+  }
+  records_.push_back(rec);
+}
+
 TraceRecord RecordView::materialize() const {
   TraceRecord out;
   out.line = rec_->line;
@@ -55,26 +72,38 @@ TraceRecord RecordView::materialize() const {
 }
 
 std::string RecordView::to_text() const {
-  // Must stay byte-identical to TraceRecord::to_text() — the round-trip
-  // property tests pin this.
-  std::string out = strf("0,%d,%.*s,%.*s,%d,%" PRIu64 "\n", rec_->line,
-                         static_cast<int>(func().size()), func().data(),
-                         static_cast<int>(bb().size()), bb().data(),
-                         static_cast<int>(rec_->opcode), rec_->dyn_id);
+  std::string out;
+  append_text(out);
+  return out;
+}
+
+void RecordView::append_text(std::string& out) const {
+  // Must stay byte-identical to TraceRecord::append_text — the round-trip
+  // property tests and tests/golden/trace_digest.txt pin this. "%.*s" stops
+  // at an embedded NUL exactly like the record path's "%s" of c_str().
+  const std::string_view fn = func();
+  const std::string_view block = bb();
+  appendf(out, "0,%d,%.*s,%.*s,%d,%" PRIu64 "\n", rec_->line, static_cast<int>(fn.size()),
+          fn.data(), static_cast<int>(block.size()), block.data(),
+          static_cast<int>(rec_->opcode), rec_->dyn_id);
   for (const PackedOperand* op = ops_; op != operands_end(); ++op) {
-    std::string slot;
     switch (op->slot()) {
-      case OperandSlot::Input: slot = strf("%d", op->index); break;
-      case OperandSlot::Callee: slot = "0"; break;
-      case OperandSlot::Param: slot = "f"; break;
-      case OperandSlot::Result: slot = "r"; break;
+      case OperandSlot::Input: appendf(out, "%d", op->index); break;
+      case OperandSlot::Callee: out += '0'; break;
+      case OperandSlot::Param: out += 'f'; break;
+      case OperandSlot::Result: out += 'r'; break;
+    }
+    appendf(out, ",%d,", op->bits);
+    switch (op->vkind()) {
+      case ValueKind::Int: appendf(out, "%" PRId64, std::bit_cast<std::int64_t>(op->raw)); break;
+      case ValueKind::Float: appendf(out, "%.6f", std::bit_cast<double>(op->raw)); break;
+      case ValueKind::Addr: appendf(out, "0x%" PRIx64, op->raw); break;
+      default: out += '0'; break;  // value() reads an invalid kind as Int 0
     }
     const std::string_view nm = name(*op);
-    out += strf("%s,%d,%s,%d,%.*s\n", slot.c_str(), op->bits,
-                value_to_text(op->value()).c_str(), op->is_reg() ? 1 : 0,
-                nm.empty() ? 1 : static_cast<int>(nm.size()), nm.empty() ? " " : nm.data());
+    appendf(out, ",%d,%.*s\n", op->is_reg() ? 1 : 0,
+            nm.empty() ? 1 : static_cast<int>(nm.size()), nm.empty() ? " " : nm.data());
   }
-  return out;
 }
 
 namespace {

@@ -12,8 +12,9 @@
 //
 // — so a parsed trace is a handful of large allocations, replay is a linear
 // scan, and name equality is an integer compare. RecordView is the zero-cost
-// cursor the analysis consumes; materialize() rebuilds an owning TraceRecord
-// for callers that print or inspect one (to_text() is byte-identical).
+// cursor the analysis consumes, and the record the VM emits to its sinks;
+// materialize() rebuilds an owning TraceRecord for callers that print or
+// inspect one (to_text() is byte-identical).
 #pragma once
 
 #include <bit>
@@ -66,6 +67,13 @@ struct PackedOperand {
                                      (is_reg ? 0x10u : 0u));
   }
 
+  /// Store `v` as this operand's value (payload and kind; slot, is_reg and
+  /// name stay).
+  void set_value(const Value& v) {
+    raw = raw_of(v);
+    flags = static_cast<std::uint8_t>((flags & ~0x0cu) | (static_cast<unsigned>(v.kind) << 2));
+  }
+
   /// The 8-byte payload of `v` (inverse of value()).
   static std::uint64_t raw_of(const Value& v) {
     switch (v.kind) {
@@ -115,7 +123,8 @@ class TraceBuffer;
 
 /// Zero-cost read cursor over one record of a TraceBuffer (or any packed
 /// record + operand span sharing a SymbolPool — the streaming analyzers use
-/// the same view type over their scratch conversion buffer).
+/// the same view type over their scratch conversion buffer, and the VM emits
+/// its records as views over its per-instruction templates).
 class RecordView {
  public:
   RecordView(const SymbolPool& pool, const PackedRecord& rec, const PackedOperand* ops)
@@ -148,6 +157,9 @@ class RecordView {
   /// Render as an LLVM-Tracer text block; byte-identical to
   /// materialize().to_text() without the intermediate record.
   std::string to_text() const;
+  /// Same bytes appended to `out` (TraceRecord::append_text) — how FileSink
+  /// writes the VM's records.
+  void append_text(std::string& out) const;
 
  private:
   const SymbolPool* pool_;
@@ -160,6 +172,41 @@ class RecordView {
 /// scratch conversion.
 void pack_record(const TraceRecord& r, SymbolPool& pool, std::vector<PackedRecord>& records,
                  std::vector<PackedOperand>& operands);
+
+/// Maps the ids of a source pool into a destination pool lazily: each source
+/// symbol is interned into the destination on its first use. Interning in use
+/// order (func, bb, then operands, as pack_record does) makes the destination
+/// pool exactly the one pack_record would build from the same records. The
+/// cache resets itself when either pool's uid() changes.
+class SymbolRemap {
+ public:
+  /// Start a record from `src` into `dst`.
+  void bind(const SymbolPool& src, SymbolPool& dst) {
+    if (src.uid() != src_uid_ || dst.uid() != dst_uid_) {
+      src_uid_ = src.uid();
+      dst_uid_ = dst.uid();
+      ids_.clear();
+    }
+    src_ = &src;
+    dst_ = &dst;
+  }
+
+  /// The destination id of source id `id` (npos stays npos).
+  std::uint32_t map(std::uint32_t id) {
+    if (id == SymbolPool::npos) return id;
+    if (id >= ids_.size()) ids_.resize(id + 1, kUnmapped);
+    if (ids_[id] == kUnmapped) ids_[id] = dst_->intern(src_->view(id));
+    return ids_[id];
+  }
+
+ private:
+  static constexpr std::uint32_t kUnmapped = SymbolPool::absent;
+  std::vector<std::uint32_t> ids_;
+  const SymbolPool* src_ = nullptr;
+  SymbolPool* dst_ = nullptr;
+  std::uint64_t src_uid_ = 0;
+  std::uint64_t dst_uid_ = 0;
+};
 
 class TraceBuffer {
  public:
@@ -185,8 +232,13 @@ class TraceBuffer {
     operands_.reserve(operands);
   }
 
-  /// Intern + append one emitted record (BufferSink, parsers).
+  /// Intern + append one record (parsers, owning-record sinks).
   void append(const TraceRecord& rec) { pack_record(rec, pool_, records_, operands_); }
+
+  /// Append one record viewed over another pool, translating its ids through
+  /// `remap` (the packed sinks' path for the VM's records). The pool and the
+  /// arrays end up exactly as append(view.materialize()) would leave them.
+  void append(const RecordView& view, SymbolRemap& remap);
 
   /// Bulk-append `other`'s records, remapping its pool ids into this pool
   /// (the parallel-parse merge step). Thread-safe on the pool side; array

@@ -43,6 +43,12 @@ void FileSink::append(const TraceRecord& rec) {
   if (buffer_.size() >= kFlushThreshold) flush();
 }
 
+void FileSink::append(const RecordView& view) {
+  view.append_text(buffer_);
+  ++count_;
+  if (buffer_.size() >= kFlushThreshold) flush();
+}
+
 void FileSink::flush() {
   if (buffer_.empty() || !file_) return;
   // fwrite may stop short when a signal lands mid-write (SIGPIPE is ignored

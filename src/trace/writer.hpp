@@ -1,7 +1,10 @@
-// Trace sinks. The VM emits TraceRecords through this interface; benchmarks
-// stream to a file (measuring trace size / generation time for Table II),
-// the in-memory analysis interns them into a TraceBuffer (BufferSink), and
-// tests that inspect emitted records keep them as-is (MemorySink).
+// Trace sinks. The VM emits each executed instruction as a RecordView: its
+// per-instruction template (names interned once in the VM's SymbolPool) with
+// the dynamic id and operand values filled in, valid for the duration of the
+// append call. Without a sink the VM emits nothing. Benchmarks stream to a
+// file (measuring trace size / generation time for Table II), the in-memory
+// analysis interns the views into a TraceBuffer (BufferSink), and tests that
+// inspect emitted records keep them as owning TraceRecords (MemorySink).
 #pragma once
 
 #include <cstdio>
@@ -28,6 +31,10 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void append(const TraceRecord& rec) = 0;
+  /// The VM's path. The view (and its pool) is only valid during the call.
+  /// The default materializes an owning record, for sinks that consume
+  /// TraceRecords; the file, buffer and network sinks pack the view instead.
+  virtual void append(const RecordView& view) { append(view.materialize()); }
   /// Number of records written so far.
   virtual std::uint64_t count() const = 0;
   /// Make the stream durable and release resources early (otherwise the
@@ -42,13 +49,15 @@ class TraceSink {
 class NullSink final : public TraceSink {
  public:
   void append(const TraceRecord&) override { ++count_; }
+  void append(const RecordView&) override { ++count_; }
   std::uint64_t count() const override { return count_; }
 
  private:
   std::uint64_t count_ = 0;
 };
 
-/// Collects the emitted records as-is, for callers that inspect them.
+/// Collects the emitted records as owning TraceRecords, for callers that
+/// inspect them (keeps the materializing default for views).
 class MemorySink final : public TraceSink {
  public:
   void append(const TraceRecord& rec) override {
@@ -64,11 +73,12 @@ class MemorySink final : public TraceSink {
 };
 
 /// Interns records into a compact TraceBuffer as they are emitted — the
-/// allocation-free input for the analysis (the VM's strings are packed and
-/// dropped record by record; nothing per-record survives on the heap).
+/// allocation-free input for the analysis (a view's ids are translated into
+/// the buffer's pool; nothing per-record survives on the heap).
 class BufferSink final : public TraceSink {
  public:
   void append(const TraceRecord& rec) override { buffer_.append(rec); }
+  void append(const RecordView& view) override { buffer_.append(view, remap_); }
   std::uint64_t count() const override { return buffer_.size(); }
 
   TraceBuffer& buffer() { return buffer_; }
@@ -78,10 +88,13 @@ class BufferSink final : public TraceSink {
 
  private:
   TraceBuffer buffer_;
+  SymbolRemap remap_;
 };
 
 /// Forwards each record to a callback — how an instrumented execution feeds
-/// the streaming analysis without materializing the trace.
+/// the streaming analysis without materializing the trace. The callback and
+/// the streaming analyzers behind it take owning TraceRecords, so views go
+/// through the materializing default.
 class CallbackSink final : public TraceSink {
  public:
   using Fn = std::function<void(const TraceRecord&)>;
@@ -107,6 +120,7 @@ class FileSink final : public TraceSink {
   FileSink& operator=(const FileSink&) = delete;
 
   void append(const TraceRecord& rec) override;
+  void append(const RecordView& view) override;
   std::uint64_t count() const override { return count_; }
 
   /// Bytes written so far (trace size column of Table II).
@@ -140,6 +154,7 @@ class MctbFileSink final : public TraceSink {
   MctbFileSink& operator=(const MctbFileSink&) = delete;
 
   void append(const TraceRecord& rec) override { buffer_.append(rec); }
+  void append(const RecordView& view) override { buffer_.append(view, remap_); }
   std::uint64_t count() const override { return buffer_.size(); }
 
   /// Container bytes written (0 until close()).
@@ -153,6 +168,7 @@ class MctbFileSink final : public TraceSink {
   std::string path_;
   MctbOptions opts_;
   TraceBuffer buffer_;
+  SymbolRemap remap_;
   std::uint64_t bytes_ = 0;
   bool closed_ = false;
 };

@@ -1,6 +1,13 @@
 // The tracing interpreter: executes a mini-IR module and emits a dynamic
 // instruction execution trace in the LLVM-Tracer block format.
 //
+// Everything about an instruction's trace record that does not change between
+// executions — function and block names, opcode, operand names and flags — is
+// resolved once per ir::Instr when the Interpreter is built, into a template
+// whose names live in the interpreter's SymbolPool. An executed instruction
+// fills in only its dyn_id and operand values and hands the sink a
+// trace::RecordView; with no sink it only counts the step.
+//
 // Besides plain execution it provides the three capabilities the paper's
 // validation methodology needs (§VI-B):
 //   * main-computation-loop (MCL) iteration tracking — a conditional branch
@@ -16,6 +23,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +50,9 @@ struct FailStop {
 };
 
 struct RunOptions {
-  /// Trace output; nullptr = do not trace.
+  /// Trace output: every executed instruction is appended as a RecordView
+  /// over its per-instruction template. nullptr = do not trace: no record is
+  /// built, and steps/max_steps count exactly as in a traced run.
   trace::TraceSink* sink = nullptr;
 
   /// Loop instrumentation (checkpoint/failure/restore need this).
@@ -99,8 +109,29 @@ class Interpreter {
   RunResult run(const RunOptions& opts);
 
  private:
+  enum class Builtin : std::uint8_t {
+    None, Sqrt, Fabs, Exp, Log, Sin, Cos, Floor, Pow, Timer, PrintInt, PrintFloat, Unknown
+  };
+
+  /// One instruction's trace record minus what changes per execution, plus
+  /// its call target. rec.op_offset/op_count index op_templates_; names are
+  /// ids in pool_.
+  struct InstrTemplate {
+    trace::PackedRecord rec;
+    const ir::Function* callee = nullptr;  // Call of a module function
+    Builtin builtin = Builtin::None;       // Call of a builtin
+  };
+
+  /// A function's templates: one per instruction (same index as fn.instrs)
+  /// and one per parameter (the argument-binding Store push_frame emits).
+  struct FunctionTemplates {
+    std::vector<InstrTemplate> instrs;
+    std::vector<InstrTemplate> params;
+  };
+
   struct Frame {
     const ir::Function* fn = nullptr;
+    const FunctionTemplates* tmpl = nullptr;
     std::vector<std::uint64_t> slot_addr;
     std::vector<Value> regs;
     int pc = 0;
@@ -115,6 +146,18 @@ class Interpreter {
   const RunOptions* opts_ = nullptr;
   RunResult result_;
   std::uint64_t dyn_id_ = 0;
+  // The MCL host function and header line, resolved once per run.
+  const ir::Function* mcl_fn_ = nullptr;
+  int mcl_line_ = 0;
+
+  // Trace templates and the emission scratch.
+  trace::SymbolPool pool_;
+  std::vector<trace::PackedOperand> op_templates_;
+  std::vector<FunctionTemplates> fn_templates_;  // parallel to module_.functions
+  std::vector<InstrTemplate> global_templates_;  // parallel to module_.globals
+  trace::PackedRecord record_;
+  std::vector<trace::PackedOperand> record_ops_;
+  std::vector<Value> values_;
   double timer_counter_ = 0.0;
   int iteration_ = 0;      // completed header evaluations
   bool restored_ = false;
@@ -125,30 +168,42 @@ class Interpreter {
 
   Frame& top() { return frames_.back(); }
 
-  void emit(trace::TraceRecord rec);
+  // Template construction (constructor only).
+  InstrTemplate begin_template(std::string_view func, int line, trace::Opcode opcode);
+  void add_operand(InstrTemplate& t, trace::OperandSlot slot, int index, bool is_reg,
+                   std::string_view name);
+  void add_input(InstrTemplate& t, const ir::Function& fn, const ir::Opnd& o, int index);
+  InstrTemplate instr_template(const ir::Function& fn, const ir::Instr& in);
+  InstrTemplate call_template(const ir::Function& fn, const ir::Instr& in);
+  static Builtin find_builtin(std::string_view name);
+
+  /// Counts one executed instruction (dyn_id, steps, the max_steps guard).
+  /// True when a sink wants its record.
+  bool count_step();
+  /// Hands the sink the record of the instruction just counted: template `t`
+  /// with `values` as its operand values, in operand order.
+  void emit(const InstrTemplate& t, std::span<const Value> values);
   void emit_global_allocas();
 
   Value eval(const Frame& f, const ir::Opnd& o) const;
   std::uint64_t slot_address(const Frame& f, int slot, bool is_global) const;
-  std::string opnd_reg_name(const ir::Opnd& o) const;
-  trace::Operand opnd_to_trace(const Frame& f, const ir::Opnd& o, int index) const;
 
-  void push_frame(const ir::Function& fn, const std::vector<Value>& args,
-                  const std::vector<std::string>& arg_names, int pending_dst);
+  void push_frame(const ir::Function& fn, const std::vector<Value>& args, int pending_dst);
   void pop_frame(const Value* ret_value);
 
-  void exec_instr(const ir::Instr& in);
-  void exec_alloca(const ir::Instr& in);
-  void exec_load(const ir::Instr& in);
-  void exec_store(const ir::Instr& in);
-  void exec_gep(const ir::Instr& in);
-  void exec_bin(const ir::Instr& in);
-  void exec_cast(const ir::Instr& in);
-  void exec_br(const ir::Instr& in);
-  void exec_call(const ir::Instr& in);
-  void exec_ret(const ir::Instr& in);
+  void exec_instr(const ir::Instr& in, const InstrTemplate& t);
+  void exec_alloca(const ir::Instr& in, const InstrTemplate& t);
+  void exec_load(const ir::Instr& in, const InstrTemplate& t);
+  void exec_store(const ir::Instr& in, const InstrTemplate& t);
+  void exec_gep(const ir::Instr& in, const InstrTemplate& t);
+  void exec_bin(const ir::Instr& in, const InstrTemplate& t);
+  void exec_cast(const ir::Instr& in, const InstrTemplate& t);
+  void exec_br(const ir::Instr& in, const InstrTemplate& t);
+  void exec_call(const ir::Instr& in, const InstrTemplate& t);
+  void exec_ret(const ir::Instr& in, const InstrTemplate& t);
 
-  Value run_builtin(const std::string& name, const std::vector<Value>& args, bool& has_result);
+  /// The builtin's result; nullopt for the print builtins.
+  std::optional<Value> run_builtin(Builtin b, const std::vector<Value>& args);
 
   // MCL instrumentation at a conditional header-line branch.
   void on_header_evaluation();

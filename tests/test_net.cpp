@@ -449,6 +449,28 @@ TEST(IdentityTest, AllFourteenMiniAppsByteIdentical) {
   EXPECT_EQ(lb.server.reports_served(), apps::registry().size());
 }
 
+TEST(IdentityTest, VmRecordViewsStreamedStraightToTheDaemon) {
+  // The VM appends RecordViews to the RemoteSink; a new chunk (and pool)
+  // every 512 records resets the sink's id translation each time.
+  LoopbackServer lb;
+  for (const apps::App& app : apps::registry()) {
+    SCOPED_TRACE(app.name);
+    trace::BufferSink local;
+    const vm::RunResult run = ac::test::run_source(app.source(), &local);
+    RemoteSinkOptions ropts;
+    ropts.chunk_records = 512;
+    RemoteSink sink("127.0.0.1", lb.server.port(), ropts);
+    ac::test::run_source(app.source(), &sink);
+    EXPECT_EQ(sink.count(), run.steps);
+    ReportSpec spec;
+    spec.region = app.mcl();
+    spec.with_timings = false;
+    const std::string got = sink.fetch_report(spec);
+    sink.close();
+    EXPECT_EQ(got, local_json(local.buffer(), app.mcl()));
+  }
+}
+
 TEST(IdentityTest, ConcurrentClientsStayIsolated) {
   LoopbackServer lb;
   const std::vector<std::string> names = {"CG", "EP", "IS", "HPCCG"};

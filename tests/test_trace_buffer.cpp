@@ -2,7 +2,9 @@
 // stability, thread-safe bulk intern), TraceBuffer pack/materialize
 // round-trips, and the zero-copy parser property suite — TraceBuffer-
 // materialized to_text() must be byte-identical to the legacy parser's
-// output across all 14 mini-app traces, serial and parallel.
+// output across all 14 mini-app traces, serial and parallel — and the VM's
+// record views, packed by BufferSink, must give the buffer that appending
+// the owning records would.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -351,6 +353,77 @@ TEST(BufferSink, FeedsSessionWithoutLegacyRecords) {
   EXPECT_EQ(run.records.size(), streamed);
   EXPECT_EQ(from_buffer.verdicts.critical, run.report.verdicts.critical);
   EXPECT_EQ(from_buffer.verdicts.all_mli, run.report.verdicts.all_mli);
+}
+
+// --- Packed emission: the VM's views through SymbolRemap ----------------------
+
+/// Field-by-field identity of two buffers: symbols and ids, records, operands.
+void expect_same_buffer(const TraceBuffer& got, const TraceBuffer& want, const std::string& what) {
+  ASSERT_EQ(got.pool().size(), want.pool().size()) << what;
+  for (std::uint32_t id = 0; id < want.pool().size(); ++id) {
+    ASSERT_EQ(got.pool().view(id), want.pool().view(id)) << what << " symbol " << id;
+  }
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const PackedRecord& a = got.records()[i];
+    const PackedRecord& b = want.records()[i];
+    ASSERT_TRUE(a.dyn_id == b.dyn_id && a.func == b.func && a.bb == b.bb &&
+                a.op_offset == b.op_offset && a.op_count == b.op_count && a.line == b.line &&
+                a.opcode == b.opcode)
+        << what << " record " << i;
+  }
+  ASSERT_EQ(got.operands().size(), want.operands().size()) << what;
+  for (std::size_t i = 0; i < want.operands().size(); ++i) {
+    const PackedOperand& a = got.operands()[i];
+    const PackedOperand& b = want.operands()[i];
+    ASSERT_TRUE(a.raw == b.raw && a.name == b.name && a.index == b.index && a.bits == b.bits &&
+                a.flags == b.flags)
+        << what << " operand " << i;
+  }
+}
+
+/// `module` traced once: the records appended to `into` as owning records.
+void append_materialized(const ir::Module& module, TraceBuffer& into) {
+  MemorySink mem;
+  vm::RunOptions ropts;
+  ropts.sink = &mem;
+  vm::run_module(module, ropts);
+  for (const TraceRecord& rec : mem.records()) into.append(rec);
+}
+
+TEST(BufferSink, ViewPathMatchesRecordPath) {
+  for (const apps::App& app : apps::registry()) {
+    const ir::Module module = minic::compile(app.source());
+    TraceBuffer want;
+    append_materialized(module, want);
+    BufferSink sink;
+    vm::RunOptions ropts;
+    ropts.sink = &sink;
+    vm::run_module(module, ropts);
+    expect_same_buffer(sink.buffer(), want, app.name);
+  }
+}
+
+TEST(BufferSink, RemapFollowsPoolIdentity) {
+  const ir::Module a = minic::compile(test::fig4_source());
+  const ir::Module b = minic::compile(apps::find_app("IS").source());
+  BufferSink sink;
+  vm::RunOptions ropts;
+  ropts.sink = &sink;
+  vm::run_module(a, ropts);
+  const TraceBuffer first = sink.take();
+  // The taken buffer's pool is gone from the sink, and every run interns its
+  // templates into a fresh interpreter pool: both must reset the id cache.
+  vm::run_module(b, ropts);
+  vm::run_module(a, ropts);
+
+  TraceBuffer want_first;
+  append_materialized(a, want_first);
+  expect_same_buffer(first, want_first, "first run");
+  TraceBuffer want_rest;
+  append_materialized(b, want_rest);
+  append_materialized(a, want_rest);
+  expect_same_buffer(sink.buffer(), want_rest, "after take");
 }
 
 }  // namespace

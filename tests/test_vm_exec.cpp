@@ -1,7 +1,11 @@
 // VM execution semantics: arithmetic, control flow, arrays, calls, globals,
-// builtins, traps, and the MCL instrumentation hooks.
+// builtins, traps, and the MCL instrumentation hooks — and that a run with no
+// trace sink behaves exactly like a traced one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "apps/app.hpp"
 #include "support/error.hpp"
 #include "vm/interp.hpp"
 
@@ -205,6 +209,57 @@ TEST(VmExec, StepLimitGuardsRunaways) {
   RunOptions opts;
   opts.max_steps = 10000;
   EXPECT_THROW(run_module(module, opts), VmError);
+  // The traced path counts steps the same way and stops at the same record.
+  trace::BufferSink sink;
+  opts.sink = &sink;
+  EXPECT_THROW(run_module(module, opts), VmError);
+  EXPECT_EQ(sink.count(), opts.max_steps);
+}
+
+/// Runs `module` once without a sink and once into a BufferSink under the
+/// same options; the two RunResults must agree, and every step must have
+/// reached the sink as one record.
+void expect_untraced_matches_traced(const ir::Module& module, RunOptions opts,
+                                    const std::string& what) {
+  opts.sink = nullptr;
+  const RunResult plain = run_module(module, opts);
+  trace::BufferSink sink;
+  opts.sink = &sink;
+  const RunResult traced = run_module(module, opts);
+  EXPECT_EQ(plain.output, traced.output) << what;
+  EXPECT_EQ(plain.exit_code, traced.exit_code) << what;
+  EXPECT_EQ(plain.steps, traced.steps) << what;
+  EXPECT_EQ(plain.peak_memory, traced.peak_memory) << what;
+  EXPECT_EQ(plain.iterations_started, traced.iterations_started) << what;
+  EXPECT_EQ(plain.failed, traced.failed) << what;
+  EXPECT_EQ(traced.steps, sink.count()) << what;
+}
+
+TEST(VmExec, UntracedRunsMatchTracedRuns) {
+  for (const apps::App& app : apps::registry()) {
+    const ir::Module module = minic::compile(app.source());
+    expect_untraced_matches_traced(module, {}, app.name + " plain");
+
+    const analysis::MclRegion mcl = app.mcl();
+    RunOptions loop;
+    loop.mcl = MclRegion{mcl.function, mcl.begin_line, mcl.end_line};
+    const int iterations = run_module(module, loop).iterations_started;
+    ASSERT_GE(iterations, 2) << app.name;
+
+    // Fail-stop mid-loop with per-iteration checkpoints of the paper's set.
+    RunOptions failing = loop;
+    failing.protect = app.expected_names();
+    failing.fail_at_iteration = std::min(iterations, 3);
+    ckpt::CheckpointImage last;
+    failing.on_checkpoint = [&](const ckpt::CheckpointImage& img) { last = img; };
+    expect_untraced_matches_traced(module, failing, app.name + " fail-stop");
+    ASSERT_FALSE(last.vars().empty()) << app.name;
+
+    // Restart from the last checkpoint.
+    RunOptions restart = loop;
+    restart.restore = &last;
+    expect_untraced_matches_traced(module, restart, app.name + " restart");
+  }
 }
 
 TEST(VmExec, IterationTrackingAndFailureInjection) {

@@ -1,9 +1,17 @@
 // The VM's emitted trace must follow the LLVM-Tracer block conventions the
 // paper's figures document: -O0 Load/Store shapes, Alloca records with the
 // variable name on the result row, both Call forms of Fig. 6, and
-// argument-binding stores inside callees.
+// argument-binding stores inside callees. MatchesGoldenDigest pins the exact
+// bytes both file sinks write for the 14 benchmarks.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+
+#include "apps/app.hpp"
+#include "minic/compiler.hpp"
+#include "support/crc32.hpp"
+#include "support/strings.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
@@ -197,6 +205,45 @@ int main() {
     EXPECT_EQ(parsed[i].line, recs[i].line);
     EXPECT_EQ(parsed[i].operands.size(), recs[i].operands.size());
   }
+}
+
+/// Runs `module` traced into `sink`, closes it and returns the file's bytes.
+std::string traced_file_bytes(const ir::Module& module, trace::TraceSink& sink,
+                              const std::string& path) {
+  RunOptions opts;
+  opts.sink = &sink;
+  run_module(module, opts);
+  sink.close();
+  std::string bytes = trace::read_file_bytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// Emitted-trace pin: for each of the 14 benchmarks at the Table II size, the
+// record count, the FileSink text size and CRC32, and the CRC32 of the
+// default-codec MctbFileSink container must match tests/golden/trace_digest.txt.
+// This pins every name, value, operand order and symbol-pool id the VM emits.
+// On a mismatch the recomputed file is printed; it is the replacement when a
+// trace change is intended.
+TEST(VmTrace, MatchesGoldenDigest) {
+  std::string digest =
+      "# <app> <records> <text bytes> <text crc32> <mctb crc32> (Table II knobs)\n";
+  for (const apps::App& app : apps::registry()) {
+    const ir::Module module = minic::compile(app.source(app.table2_params));
+    const std::string text_path = testing::TempDir() + "ac_digest_" + app.name + ".trace";
+    const std::string mctb_path = testing::TempDir() + "ac_digest_" + app.name + ".mctb";
+    trace::FileSink text_sink(text_path);
+    const std::string text = traced_file_bytes(module, text_sink, text_path);
+    trace::MctbFileSink mctb_sink(mctb_path);
+    const std::string mctb = traced_file_bytes(module, mctb_sink, mctb_path);
+    ASSERT_EQ(text_sink.count(), mctb_sink.count()) << app.name;
+    digest += strf("%s %" PRIu64 " %zu 0x%08x 0x%08x\n", app.name.c_str(), text_sink.count(),
+                   text.size(), crc32(text.data(), text.size()),
+                   crc32(mctb.data(), mctb.size()));
+  }
+  EXPECT_EQ(digest, trace::read_file_bytes(std::string(AC_GOLDEN_DIR) + "/trace_digest.txt"))
+      << "recomputed:\n"
+      << digest;
 }
 
 }  // namespace

@@ -249,9 +249,7 @@ int main(int argc, char** argv) {
         ac::trace::FileSink sink(recode_path);
         // Stream record views through the sink's batch buffer; no owning
         // TraceRecord representation of the trace is ever built.
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          sink.append(buf.materialize(i));
-        }
+        for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.view(i));
         sink.close();
         out_bytes = sink.bytes();
       }
